@@ -1,15 +1,18 @@
 """Speedup and identity of the vectorized (stacked) tier solves.
 
-Two claims carry the batching story:
+Every Markov search solves its wavefronts batched; the scalar
+reference is the same search on a :class:`MarkovEngine` subclass,
+which the exact-type batch gate keeps on the per-candidate path.  Two
+claims carry the batching story:
 
-* a **batched** cold design run over the paper's e-commerce service
-  must beat the **scalar** cold run by at least 3x -- the search's
-  cost is dominated by per-candidate CTMC solves, and the batcher
-  groups a wavefront's chains by shape and hands each size class to
-  LAPACK as one stacked call;
+* a **default** (batched) cold design run over the paper's e-commerce
+  service must beat the **scalar reference** cold run by at least 3x
+  -- the search's cost is dominated by per-candidate CTMC solves, and
+  the batcher groups a wavefront's chains by shape and hands each size
+  class to LAPACK as one stacked call;
 * the speedup must be *free of drift*: the serialized DesignOutcome
-  is identical JSON with batching on or off, across serial,
-  supervised (``jobs``), and cached runs.
+  is identical JSON to the scalar reference across serial, supervised
+  (``jobs``), and cached runs.
 
 Timings are back-to-back pairs with alternating order, the same
 discipline as ``bench_cache``/``bench_parallel``; the headline number
@@ -23,6 +26,7 @@ import time
 
 import pytest
 
+from repro.availability import MarkovEngine
 from repro.core import Aved
 from repro.core.serialize import evaluation_to_dict
 from repro.model import ServiceRequirements
@@ -32,6 +36,10 @@ from repro.units import Duration
 from .conftest import write_bench_json, write_report
 
 REQUIREMENTS = ServiceRequirements(1000.0, Duration.minutes(100))
+
+
+class ScalarMarkovEngine(MarkovEngine):
+    """The Markov engine, kept on the scalar search path."""
 
 
 def budgets(smoke):
@@ -46,9 +54,12 @@ def canonical(outcome):
                       sort_keys=True)
 
 
-def time_design(infrastructure, service, batch, **kwargs):
+def time_design(infrastructure, service, scalar=False, **kwargs):
+    """Time one cold design; ``scalar=True`` runs the scalar reference."""
+    if scalar:
+        kwargs["availability_engine"] = ScalarMarkovEngine()
     started = time.perf_counter()
-    outcome = Aved(infrastructure, service, batch=batch,
+    outcome = Aved(infrastructure, service,
                    **kwargs).design(REQUIREMENTS)
     return time.perf_counter() - started, outcome
 
@@ -60,17 +71,15 @@ def measure_paired(infrastructure, service, reps):
     for rep in range(reps):
         if rep % 2 == 0:
             scalar, outcome = time_design(infrastructure, service,
-                                          batch=False)
+                                          scalar=True)
             serialized.add(canonical(outcome))
-            batched, outcome = time_design(infrastructure, service,
-                                           batch=True)
+            batched, outcome = time_design(infrastructure, service)
             serialized.add(canonical(outcome))
         else:
-            batched, outcome = time_design(infrastructure, service,
-                                           batch=True)
+            batched, outcome = time_design(infrastructure, service)
             serialized.add(canonical(outcome))
             scalar, outcome = time_design(infrastructure, service,
-                                          batch=False)
+                                          scalar=True)
             serialized.add(canonical(outcome))
         pairs.append((scalar, batched))
     assert len(serialized) == 1, "batching changed the designed system"
@@ -81,8 +90,8 @@ def measure_paired(infrastructure, service, reps):
 def batch_report(smoke, paper_infra):
     ecommerce = ecommerce_service()
     reps, speedup_floor = budgets(smoke)
-    time_design(paper_infra, ecommerce, batch=False)   # warm the code
-    time_design(paper_infra, ecommerce, batch=True)
+    time_design(paper_infra, ecommerce, scalar=True)   # warm the code
+    time_design(paper_infra, ecommerce)
     pairs = measure_paired(paper_infra, ecommerce, reps)
     ratios = [scalar / batched for scalar, batched in pairs]
     speedup = statistics.median(ratios)
@@ -120,20 +129,21 @@ def test_batched_speedup_meets_floor(batch_report, smoke, full_sweep):
 
 
 def test_batched_outcomes_identical_across_modes(tmp_path, paper_infra):
-    """Batched == scalar JSON across jobs 1/2 and cache off/cold/warm."""
+    """Default == scalar-reference JSON across jobs 1/2 and cache
+    off/cold/warm."""
     ecommerce = ecommerce_service()
-    _, baseline = time_design(paper_infra, ecommerce, batch=False)
+    _, baseline = time_design(paper_infra, ecommerce, scalar=True)
     expected = canonical(baseline)
     root = str(tmp_path / "store")
     variants = [
-        dict(batch=True),
-        dict(batch=True, jobs=1),
-        dict(batch=True, jobs=2),
-        dict(batch=True, cache=root),   # cold store
-        dict(batch=True, cache=root),   # warm store
-        dict(batch=False, cache=root),  # batched store serves scalar
+        dict(),
+        dict(jobs=1),
+        dict(jobs=2),
+        dict(cache=root),   # cold store
+        dict(cache=root),   # warm store
     ]
     for kwargs in variants:
         _, outcome = time_design(paper_infra, ecommerce, **kwargs)
         assert canonical(outcome) == expected, (
-            "batched outcome drifted from scalar under %r" % (kwargs,))
+            "batched outcome drifted from the scalar reference under %r"
+            % (kwargs,))

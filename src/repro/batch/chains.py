@@ -11,8 +11,9 @@ it reproduce the scalar generator bit for bit.
 
 Templates carry precomputed index arrays (edge origins/targets, the
 per-origin diagonal accumulation schedule, down-state indices, flux
-weights) so assembling a K-member group is a handful of vectorized
-numpy operations instead of ``K * E`` scalar writes.
+weights) in compact integer dtypes, so assembling a K-member group is
+a handful of vectorized numpy operations instead of ``K * E`` scalar
+writes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,11 @@ class ChainTemplate:
     weights are in state-discovery order.  Both orders matter: the
     stacked path replays the scalar float-operation sequence per
     matrix cell and per reduction, which is what makes batched and
-    scalar results bitwise identical.
+    scalar results bitwise identical.  Only the numpy arrays are kept
+    (``edge_origin``/``edge_target``/``edge_kind``/``edge_coeff`` row
+    ``i`` is edge ``i``; ``down_index`` lists the down states): a
+    search can hold thousands of templates, and Python tuples of the
+    same data would cost several times the memory.
     """
 
     def __init__(self, kind: str, size: int,
@@ -57,16 +62,15 @@ class ChainTemplate:
                  flux_manned: List[int], flux_idle: List[int]):
         self.kind = kind
         self.size = size
-        self.edges = tuple(edges)
-        self.down_states = tuple(down_states)
         # -- vectorized assembly arrays --------------------------------
-        self.edge_origin = np.array([e[0] for e in edges], dtype=np.intp)
-        self.edge_target = np.array([e[1] for e in edges], dtype=np.intp)
-        self.edge_kind = np.array([e[2] for e in edges], dtype=np.intp)
-        # Integer coefficients as float64 (exact for these magnitudes):
-        # coeff * rate is then the same IEEE multiply the scalar path
-        # performs per edge.
-        self.edge_coeff = np.array([e[3] for e in edges], dtype=np.float64)
+        # Compact integer dtypes: numpy widens them exactly to float64
+        # (or intp) wherever they meet a rate or index an array, so
+        # ``coeff * rate`` is the same IEEE multiply the scalar path
+        # performs per edge, and the flux weights multiply the same way.
+        self.edge_origin = np.array([e[0] for e in edges], dtype=np.int32)
+        self.edge_target = np.array([e[1] for e in edges], dtype=np.int32)
+        self.edge_kind = np.array([e[2] for e in edges], dtype=np.int8)
+        self.edge_coeff = np.array([e[3] for e in edges], dtype=np.int32)
         # Diagonal accumulation schedule: slot j selects the j-th
         # out-edge of every origin that has one, so sequential slot
         # updates subtract each origin's edge rates in emission order
@@ -76,16 +80,13 @@ class ChainTemplate:
             per_origin.setdefault(edge[0], []).append(row)
         max_out = max((len(rows) for rows in per_origin.values()),
                       default=0)
-        self.diag_slots = []
-        for slot in range(max_out):
-            rows = [rows[slot] for rows in per_origin.values()
-                    if len(rows) > slot]
-            rows_arr = np.array(rows, dtype=np.intp)
-            self.diag_slots.append(
-                (self.edge_origin[rows_arr], rows_arr))
-        self.down_index = np.array(down_states, dtype=np.intp)
-        self.flux_manned = np.array(flux_manned, dtype=np.float64)
-        self.flux_idle = np.array(flux_idle, dtype=np.float64)
+        self.diag_rows = [
+            np.array([rows[slot] for rows in per_origin.values()
+                      if len(rows) > slot], dtype=np.int32)
+            for slot in range(max_out)]
+        self.down_index = np.array(down_states, dtype=np.int32)
+        self.flux_manned = np.array(flux_manned, dtype=np.int32)
+        self.flux_idle = np.array(flux_idle, dtype=np.int32)
 
 
 def inplace_template(n: int, m: int, crew: int) -> ChainTemplate:
@@ -156,7 +157,11 @@ def failover_template(n: int, m: int, s: int, crew: int,
 
 
 class TemplateCache:
-    """Per-process cache of chain templates keyed by shape."""
+    """Chain templates keyed by shape, built on first use.
+
+    Owned by one :class:`repro.batch.TierBatcher` (one search), so the
+    cache lives and dies with the search that fills it.
+    """
 
     def __init__(self):
         self._templates: Dict[ShapeKey, ChainTemplate] = {}

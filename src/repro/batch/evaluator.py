@@ -8,18 +8,18 @@ solves each group in one stacked numpy pass, and composes per-model
 path's own validation loop
 (:func:`repro.availability.markov.compose_tier_result`).
 
-Graceful degradation is per member, never per batch:
+Members the stacked solver cannot take are re-solved on the scalar
+path, per member, never per batch:
 
 * a model whose rates are non-finite/zero where the shape expects a
-  positive rate, or whose chain exceeds the dense-solve limit, is
-  re-solved through the scalar path (``BATCH_MEMBER_DEGRADED`` /
-  AVD803);
-* a stacked group whose LU factorization fails (any singular member)
-  falls back to scalar solves for every model touching that group
-  (``BATCH_GROUP_FALLBACK`` / AVD802) -- the scalar path reproduces
-  the least-squares corner-case handling exactly;
-* the scalar re-solve reproduces scalar *exceptions* as well as scalar
-  values, so error behavior is identical whichever path ran.
+  positive rate, or whose chain exceeds the dense-solve limit;
+* every model touching a stacked group whose LU factorization fails
+  (any singular member) -- the scalar path reproduces the
+  least-squares corner-case handling exactly.
+
+The scalar re-solve returns scalar *exceptions* as well as scalar
+values, so results and errors are identical whichever path ran; it is
+error handling, not a degraded mode, and reports nothing.
 
 Per-model failures are returned as exception objects rather than
 raised: the search decides lazily whether an erroring candidate is
@@ -29,8 +29,9 @@ batch), mirroring the scalar loop's laziness.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -45,9 +46,6 @@ from .stacked import reduce_group, solve_size_class, solve_stacked
 #: One model's solved tier result, or the exception the scalar path
 #: would have raised for it.
 TierOutcome = Union[TierResult, Exception]
-
-#: Shared per-process template cache (templates are immutable).
-_TEMPLATES = TemplateCache()
 
 _CLOSED = "closed"
 _CHAIN = "chain"
@@ -101,14 +99,12 @@ def _scalar_outcome(model: TierAvailabilityModel) -> TierOutcome:
 
 def solve_models(models: Sequence[TierAvailabilityModel],
                  templates: Optional[TemplateCache] = None,
-                 log=None,
                  chain_cache: Optional[dict] = None) -> List[TierOutcome]:
     """Solve a batch of tier models, grouped by chain shape.
 
     Returns one :class:`TierResult` *or* exception per model, in input
-    order.  ``log`` is an optional
-    :class:`~repro.resilience.events.DegradationLog` receiving AVD802/
-    AVD803 events for members that degraded to the scalar path.
+    order.  ``templates`` (optional) keeps chain templates across
+    calls; without it they are built for this call only.
 
     Identical ``(shape, rates)`` chains are solved once and fanned out:
     neighboring candidates overwhelmingly share per-mode chains (only
@@ -118,10 +114,10 @@ def solve_models(models: Sequence[TierAvailabilityModel],
     the :class:`TierBatcher` passes one per search so later wavefronts
     skip chains any earlier wavefront solved.
     """
-    templates = templates if templates is not None else _TEMPLATES
+    templates = templates if templates is not None else TemplateCache()
     outcomes: List[Optional[TierOutcome]] = [None] * len(models)
     plans: Dict[int, list] = {}
-    degraded_members: List[int] = []
+    scalar_members: List[int] = []
     for index, model in enumerate(models):
         model_plans = []
         for mode in model.modes:
@@ -133,14 +129,14 @@ def solve_models(models: Sequence[TierAvailabilityModel],
                 # scalar exception as this member's outcome.
                 plan = None
             if plan is None:
-                degraded_members.append(index)
+                scalar_members.append(index)
                 break
             if plan[0] == _CHAIN:
                 template = templates.get(plan[1])
                 if not 2 <= template.size <= DENSE_LIMIT:
                     # Outside the dense-solve regime the scalar path
                     # switches solver (sparse LU); defer to it.
-                    degraded_members.append(index)
+                    scalar_members.append(index)
                     break
             model_plans.append(plan)
         else:
@@ -165,7 +161,7 @@ def solve_models(models: Sequence[TierAvailabilityModel],
                     groups.setdefault(plan[1], []).append(plan[2])
             refs.append((index, mode_index))
 
-    group_fallback: Dict[int, ShapeKey] = {}
+    group_fallback: Set[int] = set()
     # Merge same-size groups into one stacked LAPACK call each: the
     # gufunc factorizes every slice independently, so concatenation is
     # free of cross-member effects while amortizing dispatch overhead.
@@ -203,7 +199,7 @@ def solve_models(models: Sequence[TierAvailabilityModel],
                 except np.linalg.LinAlgError:
                     for chain_rates in member_rates:
                         for index, _ in chain_refs[(key, chain_rates)]:
-                            group_fallback.setdefault(index, key)
+                            group_fallback.add(index)
                     continue
                 _reduce(key, template, rates, probabilities,
                         member_rates)
@@ -232,13 +228,8 @@ def solve_models(models: Sequence[TierAvailabilityModel],
         except Exception as exc:
             outcomes[index] = exc
 
-    for index in degraded_members:
+    for index in itertools.chain(scalar_members, group_fallback):
         outcomes[index] = _scalar_outcome(models[index])
-    for index, key in group_fallback.items():
-        outcomes[index] = _scalar_outcome(models[index])
-
-    if log is not None:
-        _log_degradations(log, models, degraded_members, group_fallback)
     return [outcome for outcome in outcomes]  # type: ignore[misc]
 
 
@@ -250,26 +241,8 @@ def _mode_result(mode: FailureModeEntry, plan,
     return ModeResult(mode.name, unavailability, failures, plan[3])
 
 
-def _log_degradations(log, models, degraded_members,
-                      group_fallback) -> None:
-    from ..resilience.events import (BATCH_GROUP_FALLBACK,
-                                     BATCH_MEMBER_DEGRADED)
-    for index in degraded_members:
-        model = models[index]
-        log.add(BATCH_MEMBER_DEGRADED, engine="markov", tier=model.name,
-                detail="chain (n=%d m=%d s=%d) not representable by a "
-                       "batched template; re-solved on the scalar path"
-                       % (model.n, model.m, model.s))
-    for index, key in group_fallback.items():
-        log.add(BATCH_GROUP_FALLBACK, engine="markov",
-                tier=models[index].name,
-                detail="stacked solve for shape %r hit a singular "
-                       "system; group members re-solved on the scalar "
-                       "path" % (key,))
-
-
 def solve_outcomes(engine, models: Sequence[TierAvailabilityModel],
-                   log=None,
+                   templates: Optional[TemplateCache] = None,
                    chain_cache: Optional[dict] = None) -> List[TierOutcome]:
     """Batch-solve ``models`` honoring a cache wrapper, never raising.
 
@@ -283,7 +256,8 @@ def solve_outcomes(engine, models: Sequence[TierAvailabilityModel],
     """
     from ..cache.engine import CachedEngine
     if not isinstance(engine, CachedEngine):
-        return solve_models(models, log=log, chain_cache=chain_cache)
+        return solve_models(models, templates=templates,
+                            chain_cache=chain_cache)
     outcomes: List[Optional[TierOutcome]] = [None] * len(models)
     miss_indices: List[int] = []
     miss_models: List[TierAvailabilityModel] = []
@@ -295,7 +269,7 @@ def solve_outcomes(engine, models: Sequence[TierAvailabilityModel],
             miss_indices.append(index)
             miss_models.append(model)
     if miss_models:
-        fresh = solve_models(miss_models, log=log,
+        fresh = solve_models(miss_models, templates=templates,
                              chain_cache=chain_cache)
         for index, outcome in zip(miss_indices, fresh):
             outcomes[index] = outcome
@@ -315,11 +289,13 @@ def batch_target(engine):
     from ..availability.engine import MarkovEngine
     if type(engine) is MarkovEngine:
         return engine
-    try:
-        from ..cache.engine import CachedEngine
-    except ImportError:                                # pragma: no cover
+    # Only a wrapper around a bare Markov engine can qualify, so other
+    # engines (the serve daemon's fallback chain) never import the
+    # cache package here.
+    if type(getattr(engine, "inner", None)) is not MarkovEngine:
         return None
-    if type(engine) is CachedEngine and type(engine.inner) is MarkovEngine:
+    from ..cache.engine import CachedEngine
+    if type(engine) is CachedEngine:
         return engine
     return None
 
@@ -338,24 +314,25 @@ class TierBatcher:
     """The search-side batching facade.
 
     Owns the engine handed to it (already cache-wrapped when caching
-    is on) plus the degradation log batching events report into.
-    ``solve_tasks`` maps prefetch tasks ``(key, model)`` to
+    is on).  ``solve_tasks`` maps prefetch tasks ``(key, model)`` to
     ``{key: unavailability}`` for every task whose solve succeeded;
     erroring members are simply omitted, so the serial decision loop
     lazily re-raises through the scalar path only if it actually
-    reaches them.
+    reaches them.  One batcher serves one search: its template cache
+    and chain memo are dropped with it.
     """
 
-    def __init__(self, engine, log=None):
+    def __init__(self, engine):
         self.engine = engine
-        self.log = log
+        self.templates = TemplateCache()
         # Per-search chain memo: (shape key, rates) -> (u, f).  Reuse
         # is bit-identical because the stacked solve is deterministic.
         self._chains: Dict[tuple, Tuple[float, float]] = {}
 
     def solve_tasks(self, tasks) -> Dict[tuple, float]:
         models = [model for _, model in tasks]
-        outcomes = solve_outcomes(self.engine, models, log=self.log,
+        outcomes = solve_outcomes(self.engine, models,
+                                  templates=self.templates,
                                   chain_cache=self._chains)
         merged: Dict[tuple, float] = {}
         for (key, _), outcome in zip(tasks, outcomes):

@@ -50,7 +50,8 @@ def _assemble_into(template: ChainTemplate, rates: np.ndarray,
     # a fresh zero cell.
     systems[:, template.edge_target, template.edge_origin] = vals.T
     # Diagonal: subtract each origin's edge rates in emission order.
-    for origins, rows in template.diag_slots:
+    for rows in template.diag_rows:
+        origins = template.edge_origin[rows]
         systems[:, origins, origins] -= vals[rows].T
     # Replace the last balance equation with sum(pi) = 1.
     systems[:, size - 1, :] = 1.0
@@ -64,15 +65,25 @@ def assemble_systems(template: ChainTemplate,
     return systems
 
 
+#: Byte budget of one assembled block of systems.  Larger size classes
+#: are assembled and solved block by block, so no stack bigger than
+#: this is ever allocated (stacks of several MB would otherwise stay in
+#: the heap once glibc raises its mmap threshold).
+_BLOCK_BYTES = 2 ** 20
+
+
 def solve_size_class(groups: Sequence[Tuple[ChainTemplate, np.ndarray]]) \
         -> List[np.ndarray]:
-    """Solve several same-size shape groups in ONE stacked LAPACK call.
+    """Solve several same-size shape groups in stacked LAPACK calls.
 
     ``np.linalg.solve`` over a ``(K, n, n)`` stack factorizes each
     slice independently, so concatenating groups that share a matrix
     size changes nothing per member while amortizing the gufunc
-    dispatch across every group in the class.  Returns per-group
-    ``(K_g, size)`` probability arrays in input order.
+    dispatch across every group in the class.  Members are solved in
+    blocks of at most ``_BLOCK_BYTES`` of systems; each slice keeps its
+    own LU factorization, so the block size never changes a result.
+    Returns per-group ``(K_g, size)`` probability arrays in input
+    order.
 
     Raises :class:`numpy.linalg.LinAlgError` when any member is
     singular or degenerate; the caller retries per group, then falls
@@ -80,19 +91,45 @@ def solve_size_class(groups: Sequence[Tuple[ChainTemplate, np.ndarray]]) \
     EvaluationError behavior exactly).
     """
     size = groups[0][0].size
-    counts = [rates.shape[1] for _, rates in groups]
-    total_members = sum(counts)
-    systems = np.zeros((total_members, size, size))
+    block = max(1, _BLOCK_BYTES // (size * size * 8))
+    out = [np.empty((rates.shape[1], size)) for _, rates in groups]
+    # One block's (group index, first member, end member) segments.
+    segments: List[Tuple[int, int, int]] = []
+    filled = 0
+    for index, (_, rates) in enumerate(groups):
+        count = rates.shape[1]
+        low = 0
+        while low < count:
+            take = min(count - low, block - filled)
+            segments.append((index, low, low + take))
+            filled += take
+            low += take
+            if filled == block:
+                _solve_block(groups, segments, filled, size, out)
+                segments = []
+                filled = 0
+    if segments:
+        _solve_block(groups, segments, filled, size, out)
+    return out
+
+
+def _solve_block(groups: Sequence[Tuple[ChainTemplate, np.ndarray]],
+                 segments: Sequence[Tuple[int, int, int]], members: int,
+                 size: int, out: List[np.ndarray]) -> None:
+    """Assemble, solve and normalize one block into ``out``."""
+    systems = np.zeros((members, size, size))
     start = 0
-    for (template, rates), count in zip(groups, counts):
-        _assemble_into(template, rates, systems[start:start + count])
-        start += count
-    rhs = np.zeros((total_members, size))
+    for index, low, high in segments:
+        template, rates = groups[index]
+        _assemble_into(template, rates[:, low:high],
+                       systems[start:start + high - low])
+        start += high - low
+    rhs = np.zeros((members, size))
     rhs[:, size - 1] = 1.0
     # numpy >= 2 treats a 2-D rhs as one matrix; lift to column vectors.
     solution = np.linalg.solve(systems, rhs[..., None])[..., 0]
     clipped = np.clip(solution, 0.0, None)
-    for k in range(total_members):
+    for k in range(members):
         row = clipped[k]
         total = row.sum()
         if total <= 0:
@@ -101,12 +138,10 @@ def solve_size_class(groups: Sequence[Tuple[ChainTemplate, np.ndarray]]) \
             raise np.linalg.LinAlgError(
                 "stacked solve produced a zero vector")
         row /= total
-    out = []
     start = 0
-    for count in counts:
-        out.append(clipped[start:start + count])
-        start += count
-    return out
+    for index, low, high in segments:
+        out[index][low:high] = clipped[start:start + high - low]
+        start += high - low
 
 
 def solve_stacked(template: ChainTemplate,

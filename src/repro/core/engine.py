@@ -43,12 +43,6 @@ class DesignOutcome:
     ``repro profile``, or :func:`repro.obs.observing`).  Its
     ``search.*`` counters mirror :attr:`stats` field for field.
 
-    ``pruning`` records what static dominance pruning skipped
-    (``AVD506`` provenance, one diagnostic per pruned enumeration
-    group); None when pruning was off or nothing was pruned.  Kept
-    separate from ``degradation`` on purpose: pruning is a *proof*,
-    not a fault, and must not mark the outcome :attr:`degraded`.
-
     ``cache`` is the tier-evaluation store's per-run counter snapshot
     (hits, misses, writes, corrupt entries quarantined, ...); None
     when the run had no cache attached.  Cache trouble -- corruption,
@@ -61,7 +55,6 @@ class DesignOutcome:
     stats: SearchStats
     degradation: Optional[LintReport] = None
     metrics: Optional[Mapping] = None
-    pruning: Optional[LintReport] = None
     cache: Optional[Mapping] = None
 
     @property
@@ -104,10 +97,8 @@ class Aved:
                  jobs: Optional[int] = None,
                  task_timeout: Optional[float] = None,
                  parallel=None,
-                 prune=False,
                  cache=None,
-                 cache_verify: bool = False,
-                 batch: bool = False):
+                 cache_verify: bool = False):
         """``combination`` picks the multi-tier assembly strategy:
         ``"exact"`` (branch-and-bound over the frontier product) or
         ``"greedy"`` (the paper's incremental per-tier tightening).
@@ -139,18 +130,6 @@ class Aved:
         None).  Gating reference checks (:func:`validate_pair`) always
         run regardless.
 
-        ``prune`` controls static dominance pruning
-        (:mod:`repro.lint.space`): ``False`` (default) disables it;
-        ``"auto"`` enables it when the availability engine is
-        deterministic and MTTR-monotone (Markov or analytic -- the
-        engines the certificates are sound for) and silently disables
-        it otherwise (simulation noise or cross-run engine fallback
-        could make a probe bound unreliable); ``True`` forces it on
-        regardless of engine (the caller vouches for soundness).  A
-        pruned run reaches the same :class:`DesignOutcome` as the
-        unpruned one with fewer availability solves; provenance lands
-        on :attr:`DesignOutcome.pruning`.
-
         ``cache`` attaches a persistent tier-evaluation store
         (:mod:`repro.cache`): a directory path or a pre-opened
         :class:`~repro.cache.TierEvaluationStore`.  Deterministic
@@ -161,22 +140,11 @@ class Aved:
         cache hits after the search and quarantines the whole store on
         any divergence (``AVD604``) -- the paranoid mode for stores on
         untrusted media.
-
-        ``batch`` routes each prefetch wavefront through the
-        vectorized stacked tier solver (:mod:`repro.batch`) instead of
-        N independent scalar solves; the resulting
-        :class:`DesignOutcome` is bit-identical (see
-        ``docs/BATCHING.md``).  Only the pure Markov engine (bare or
-        cached) supports batching; any other engine degrades
-        gracefully to the scalar path and reports ``AVD801``.
         """
         validate_pair(infrastructure, service)
         if combination not in ("exact", "greedy"):
             raise SearchError("combination must be 'exact' or 'greedy', "
                               "got %r" % combination)
-        if prune not in (False, True, "auto"):
-            raise SearchError("prune must be False, True, or 'auto', "
-                              "got %r" % (prune,))
         if lint not in ("off", "warn", "error"):
             raise SearchError("lint must be 'off', 'warn', or 'error', "
                               "got %r" % lint)
@@ -199,7 +167,6 @@ class Aved:
         self.limits = limits or SearchLimits()
         self.combination = combination
         self.checkpoint = checkpoint
-        self.prune = prune
         self.evaluator = DesignEvaluator(
             infrastructure, service,
             availability_engine if availability_engine is not None
@@ -225,26 +192,6 @@ class Aved:
             self.parallel = make_runtime(self.evaluator.engine, jobs,
                                          task_timeout=task_timeout)
             self._owns_runtime = True
-        # Batching is resolved AFTER cache attachment so the batcher
-        # sees the cache-wrapped engine and keeps warm-path lookup
-        # counts identical to the scalar path.
-        self.batcher = None
-        self._batch_log = None
-        if batch:
-            from ..batch import TierBatcher, batch_target
-            from ..resilience.events import (BATCH_UNSUPPORTED,
-                                             DegradationLog)
-            self._batch_log = DegradationLog()
-            target = batch_target(self.evaluator.engine)
-            if target is None:
-                self._batch_log.add(
-                    BATCH_UNSUPPORTED,
-                    engine=type(self.evaluator.engine).__name__,
-                    detail="engine does not support vectorized batch "
-                           "solves; searching on the scalar path")
-            else:
-                self.batcher = TierBatcher(target, log=self._batch_log)
-
     # ------------------------------------------------------------------
 
     def design(self, requirements) -> DesignOutcome:
@@ -290,13 +237,6 @@ class Aved:
         drain = getattr(self.evaluator.engine, "drain_log", None)
         if drain is not None:
             report = drain().to_lint_report()
-        if self._batch_log is not None and len(self._batch_log):
-            batch_report = self._batch_log.to_lint_report()
-            self._batch_log.clear()
-            if report is None:
-                report = batch_report
-            else:
-                report.extend(batch_report)
         if self.parallel is not None:
             runtime_log = self.parallel.drain_log()
             if len(runtime_log):
@@ -338,38 +278,6 @@ class Aved:
                    len(self.checkpoint.completed_tiers))))
         return report
 
-    def _prune_enabled(self) -> bool:
-        """Resolve the ``prune`` setting against the active engine.
-
-        The dominance lemma holds for deterministic, MTTR-monotone
-        engines; ``"auto"`` therefore enables pruning only for the
-        Markov and analytic engines, never for simulation (seeded
-        noise breaks the probe bound) or a resilience fallback stack
-        (the answering engine can differ per candidate).
-        """
-        if self.prune is True:
-            return True
-        if self.prune == "auto":
-            from ..availability import AnalyticEngine
-            from ..cache import CachedEngine
-            engine = self.evaluator.engine
-            if isinstance(engine, CachedEngine):
-                engine = engine.inner   # caching preserves determinism
-            return isinstance(engine, (MarkovEngine, AnalyticEngine))
-        return False
-
-    @staticmethod
-    def _pruning_report(search) -> Optional[LintReport]:
-        """AVD506 provenance for everything the search pruned."""
-        regions = getattr(search, "pruned_regions", None)
-        if not regions:
-            return None
-        report = LintReport()
-        for region in regions:
-            report.add(Diagnostic.new("AVD506", region.describe(),
-                                      context="dominance pruning"))
-        return report
-
     def _outcome(self, design: Design, evaluation: DesignEvaluation,
                  search) -> DesignOutcome:
         """Assemble the outcome: degradation report + metrics snapshot.
@@ -391,7 +299,6 @@ class Aved:
                  if self.cache_store is not None else None)
         return DesignOutcome(design, evaluation, stats,
                              degradation=degradation, metrics=metrics,
-                             pruning=self._pruning_report(search),
                              cache=cache)
 
     def _verify_cache(self) -> None:
@@ -413,9 +320,7 @@ class Aved:
             -> DesignOutcome:
         search = TierSearch(self.evaluator, self.limits,
                             checkpoint=self.checkpoint,
-                            runtime=self.parallel,
-                            prune=self._prune_enabled(),
-                            batcher=self.batcher)
+                            runtime=self.parallel)
         tier_names = [tier.name for tier in self.service.tiers]
 
         if len(tier_names) == 1:
@@ -428,17 +333,10 @@ class Aved:
             design = Design((best.design,))
         else:
             # Per-tier Pareto frontiers, then exact series combination.
-            # Exact combination may statically drop frontier entries
-            # provably above the service target (a tier's downtime
-            # lower-bounds the series downtime); greedy refinement is
-            # path-dependent over the full ladder, so it gets none.
-            dominance_target = (requirements.max_annual_downtime
-                                if self.combination == "exact" else None)
             frontiers: List = []
             for name in tier_names:
                 frontier = search.tier_frontier(
-                    name, requirements.throughput,
-                    dominance_target=dominance_target)
+                    name, requirements.throughput)
                 if not frontier:
                     raise InfeasibleError(
                         "tier %r cannot carry load %g"
@@ -473,8 +371,7 @@ class Aved:
     def _design_job(self, requirements: JobRequirements) -> DesignOutcome:
         search = JobSearch(self.evaluator, self.limits,
                            checkpoint=self.checkpoint,
-                           runtime=self.parallel,
-                           batcher=self.batcher)
+                           runtime=self.parallel)
         evaluation = search.best_design(requirements)
         if evaluation is None:
             raise InfeasibleError(

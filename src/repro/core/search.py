@@ -95,55 +95,10 @@ class SearchStats:
     batched_wavefronts: int = 0
     #: Tier evaluations solved through the vectorized batch solver.
     batched_solves: int = 0
-    #: Candidates skipped because a static dominance certificate proved
-    #: them no better than a probe that already missed the target.
-    dominance_pruned: int = 0
-    #: Probe solves spent establishing dominance-based skips.
-    dominance_probes: int = 0
-    #: Enumeration groups in which a probe's infeasibility pruned the
-    #: dominated members.
-    dominance_groups_pruned: int = 0
 
 
-@dataclass(frozen=True)
-class PrunedRegion:
-    """Provenance of one dominance-pruned enumeration group (AVD506).
-
-    Records exactly why a set of candidates was skipped without an
-    availability solve: the ``probe`` (the group's provably-best
-    mechanism combo) was evaluated, missed ``target_minutes``, and the
-    ``lemma`` named here guarantees every combo in ``pruned`` is at
-    least as bad.  Surfaced on
-    :class:`repro.core.engine.DesignOutcome` as a lint report.
-    """
-
-    tier: str
-    resource: str
-    n_active: int
-    n_spare: int
-    spare_active_prefix: Tuple[str, ...]
-    probe: str
-    probe_downtime_minutes: float
-    target_minutes: float
-    pruned: Tuple[str, ...]
-    lemma: str
-
-    def describe(self) -> str:
-        return ("%s/%s n=%d s=%d: probe %s at %.3f min/yr (> %.3f) "
-                "prunes %d combo(s) [%s]"
-                % (self.tier, self.resource, self.n_active, self.n_spare,
-                   self.probe, self.probe_downtime_minutes,
-                   self.target_minutes, len(self.pruned), self.lemma))
-
-
-#: Slack added to the downtime target before a probe's infeasibility is
-#: allowed to prune its group: guards engine-level float noise around
-#: the mathematical bound downtime(member) >= downtime(probe).
-_PRUNE_MARGIN_MINUTES = 1e-6
-
-
-def _describe_combo(configs: Sequence[MechanismConfig]) -> str:
-    return " + ".join(config.describe() for config in configs) or "(none)"
+#: Marks a search whose batcher has not been resolved yet.
+_UNRESOLVED = object()
 
 
 class _TierSearchBase:
@@ -163,37 +118,27 @@ class _TierSearchBase:
     decision logic consumes them from the cache -- which is why
     ``jobs=N`` reaches bit-identical designs to ``jobs=1``.
     Candidates the runtime quarantines evaluate to None and are
-    skipped.  Without a runtime the legacy in-process path is used,
-    byte for byte.
+    skipped.
+
+    When the engine is the pure Markov solver (bare or cached; see
+    :func:`repro.batch.batch_target`), each resource total's candidate
+    structures are solved as one wavefront through the vectorized
+    stacked solver (:mod:`repro.batch`) -- bit-identical to N scalar
+    solves (see ``docs/BATCHING.md``).  Every other engine (analytic,
+    simulation, fallback chains, chaos and user engines) takes the
+    scalar per-candidate path, which is also the per-member fallback
+    inside a wavefront.
     """
 
     def __init__(self, evaluator: DesignEvaluator,
                  limits: Optional[SearchLimits] = None,
-                 checkpoint=None, runtime=None, prune: bool = False,
-                 batcher=None):
-        """``prune`` enables static dominance pruning (TierSearch only):
-        candidates a :class:`repro.lint.space.PruningCertificate` proves
-        no better than an already-infeasible probe are skipped without
-        an availability solve.  Sound only for deterministic,
-        MTTR-monotone engines (Markov, analytic); callers gate it
-        (see :class:`repro.core.engine.Aved`).  Off by default.
-
-        ``batcher`` (a :class:`repro.batch.TierBatcher`, optional)
-        routes each prefetch wavefront through the vectorized stacked
-        solver instead of N scalar solves; results are bit-identical
-        (see ``docs/BATCHING.md``), so enabling it never changes the
-        designed outcome.  Callers gate it on engine support
-        (:func:`repro.batch.batch_target`)."""
+                 checkpoint=None, runtime=None):
         self.evaluator = evaluator
         self.limits = limits or SearchLimits()
         self.stats = SearchStats()
         self.checkpoint = checkpoint
         self.runtime = runtime
-        self.batcher = batcher
-        self.prune = bool(prune)
-        #: AVD506 provenance, one entry per pruned enumeration group.
-        self.pruned_regions: List[PrunedRegion] = []
-        self._certificates: Dict[Tuple[str, str], object] = {}
+        self._batcher = _UNRESOLVED
         self._availability_cache: Dict[tuple, float] = {}
         if checkpoint is not None:
             self.stats.resumed_evaluations = checkpoint.seed_cache(
@@ -285,8 +230,8 @@ class _TierSearchBase:
                              cost_cap: float) -> None:
         """Batch-solve the structures serial evaluation is about to need.
 
-        Active when the runtime fans out (``jobs>1``), when a batcher
-        is attached (``--batch``), or both: every not-yet-cached,
+        Active when the runtime fans out (``jobs>1``), when the engine
+        has a batched path, or both: every not-yet-cached,
         not-quarantined structure whose cost clears ``cost_cap`` is
         solved as one wavefront -- dispatched across the pool,
         vectorized through the stacked solver, or pool-dispatched in
@@ -303,7 +248,7 @@ class _TierSearchBase:
         """
         runtime = self.runtime
         parallel = runtime is not None and runtime.parallel
-        batcher = self.batcher
+        batcher = self._resolve_batcher()
         if not parallel and batcher is None:
             return
         tasks = []
@@ -353,21 +298,40 @@ class _TierSearchBase:
                 merged.update(runtime.evaluate_batch(tasks_to_run,
                                                      grouper=grouper))
             self.stats.parallel_batches += 1
-            if batcher is not None:
-                self.stats.batched_wavefronts += 1
-                self.stats.batched_solves += len(tasks_to_run)
         else:
             # Serial batched path.  No cache_probe pre-loop here: the
             # batcher's solve_outcomes consults the store itself (one
-            # get per model, the same count the scalar warm path
-            # performs), so probing first would double every lookup.
-            merged = batcher.solve_tasks(tasks)
+            # get per model), so probing first would double every
+            # lookup.
+            obs = _obs_current()
+            if obs.enabled:
+                with obs.span("batch-solve", tasks=len(tasks)):
+                    merged = batcher.solve_tasks(tasks)
+            else:
+                merged = batcher.solve_tasks(tasks)
+        if batcher is not None:
+            # Like availability_evaluations, counted before any cache
+            # probe, so cache-off, cold and warm runs report equal stats.
             self.stats.batched_wavefronts += 1
             self.stats.batched_solves += len(tasks)
         self.stats.availability_evaluations += len(tasks)
         self._availability_cache.update(merged)
         if self.checkpoint is not None:
             self.checkpoint.record_batch(merged.items())
+
+    def _resolve_batcher(self):
+        """This search's :class:`repro.batch.TierBatcher`, or None.
+
+        Built at the first prefetch (so ``repro.batch`` is imported
+        only by searches that reach one) and kept for the search's
+        lifetime, together with its chain memo and template cache.
+        """
+        if self._batcher is _UNRESOLVED:
+            from ..batch import TierBatcher, batch_target
+            target = batch_target(self.evaluator.engine)
+            self._batcher = (TierBatcher(target) if target is not None
+                             else None)
+        return self._batcher
 
     @staticmethod
     def _structure_key(tier_design: TierDesign,
@@ -454,35 +418,23 @@ class TierSearch(_TierSearchBase):
 
     def enumerate_candidates(self, tier_name: str, load: float,
                              max_downtime: Optional[Duration] = None,
-                             prune_cost_above: float = math.inf,
-                             dominance_target: Optional[Duration] = None) \
+                             prune_cost_above: float = math.inf) \
             -> Iterator[EvaluatedTierDesign]:
         """Yield evaluated designs for one tier, cheapest totals first.
 
         When ``max_downtime`` is given the paper's termination rules
         apply; otherwise the enumeration is bounded only by
         ``max_redundancy`` (used for frontier construction).
-
-        ``dominance_target`` feeds *only* the static dominance pruner
-        (no effect unless the search was built with ``prune=True``):
-        candidates provably above that downtime are skipped without a
-        solve, while the paper's termination rules stay untouched.
-        Frontier construction for exact multi-tier combination uses it
-        with the service-level target -- a tier whose own downtime
-        misses the target can never be part of a feasible series
-        combination, so dropping it cannot change the optimum.
         """
         tier = self.evaluator.service.tier(tier_name)
         for option in tier.options:
             yield from self._enumerate_option(tier_name, option, load,
                                               max_downtime,
-                                              prune_cost_above,
-                                              dominance_target)
+                                              prune_cost_above)
 
     def _enumerate_option(self, tier_name: str, option: ResourceOption,
                           load: float, max_downtime: Optional[Duration],
-                          prune_cost_above: float,
-                          dominance_target: Optional[Duration] = None) \
+                          prune_cost_above: float) \
             -> Iterator[EvaluatedTierDesign]:
         n_min = option.min_active_for(load)
         if n_min is None:
@@ -495,19 +447,6 @@ class TierSearch(_TierSearchBase):
         degradations = 0
         target_minutes = (max_downtime.as_minutes
                           if max_downtime is not None else None)
-        prune_target = target_minutes
-        if prune_target is None and dominance_target is not None:
-            prune_target = dominance_target.as_minutes
-        certificate = None
-        # Pruning also requires an infinite starting cost cap: with a
-        # finite one, a cost-pruned probe could leave the degradation
-        # termination rule blind to downtimes the unpruned enumeration
-        # would have seen (the probe-first argument needs the probe to
-        # actually be solved whenever no incumbent exists yet).
-        if self.prune and prune_target is not None \
-                and math.isinf(prune_cost_above):
-            certificate = self._pruning_certificate(tier_name, option,
-                                                    structural)
 
         for extra in range(self.limits.max_redundancy + 1):
             total = n_min + extra
@@ -518,19 +457,10 @@ class TierSearch(_TierSearchBase):
                     break
             designs = list(self._structures_for_total(
                 tier_name, option, structural, n_min, total))
-            skip: frozenset = frozenset()
-            if certificate is not None:
-                skip = self._dominance_skips(designs, certificate, load,
-                                             prune_target, best_cost)
-            self._prefetch_structures(
-                [design for index, design in enumerate(designs)
-                 if index not in skip], load, best_cost)
+            self._prefetch_structures(designs, load, best_cost)
             best_downtime_this_total = math.inf
-            for index, design in enumerate(designs):
+            for design in designs:
                 self.stats.structures_enumerated += 1
-                if index in skip:
-                    self.stats.dominance_pruned += 1
-                    continue
                 cost = self.evaluator.tier_cost(design).total
                 if cost >= best_cost:
                     self.stats.cost_pruned += 1
@@ -558,85 +488,6 @@ class TierSearch(_TierSearchBase):
                 previous_best_downtime = min(previous_best_downtime,
                                              best_downtime_this_total)
 
-    # -- static dominance pruning --------------------------------------
-
-    def _pruning_certificate(self, tier_name: str, option: ResourceOption,
-                             structural: Sequence[str]):
-        """Build (once per tier/resource) the dominance certificate.
-
-        The prover receives this search's own mechanism combos and
-        spare prefixes, so the certificate is aligned with -- and
-        verified against -- the exact enumeration order, including any
-        ``fixed_settings`` pins.
-        """
-        key = (tier_name, option.resource)
-        if key not in self._certificates:
-            # Late import: repro.core.engine imports repro.lint at
-            # module load, so the reverse edge must stay lazy.
-            from ..lint.space import build_pruning_certificate
-            self._certificates[key] = build_pruning_certificate(
-                self.evaluator, tier_name, option,
-                self._mechanism_combos(structural),
-                self._spare_prefixes(option.resource, 1))
-        return self._certificates[key]
-
-    def _dominance_skips(self, designs: Sequence[TierDesign], certificate,
-                         load: Optional[float], target_minutes: float,
-                         best_cost: float) -> frozenset:
-        """Indices of ``designs`` provably infeasible via the certificate.
-
-        Per enumeration group (a contiguous run of mechanism combos at
-        one split/prefix) the certificate's probe is solved first; if
-        even the probe misses the target, the dominated members cannot
-        meet it either (their downtime is >= the probe's by the
-        certificate's lemma) and are skipped without a solve.  Order
-        safety: skipped members are infeasible, so they can never
-        update the incumbent (``found_feasible``/``best_cost``), and
-        the probe -- always evaluated -- contributes the group's true
-        minimum downtime to the degradation-based termination rule.
-        """
-        skip: set = set()
-        size = certificate.combo_count
-        if size < 2 or len(designs) % size != 0:
-            return frozenset()
-        from ..lint.canonical import combo_key
-        aligned = tuple(combo_key(design.mechanism_configs)
-                        for design in designs[:size])
-        if aligned != certificate.combo_keys:
-            return frozenset()
-        for start in range(0, len(designs), size):
-            anchor = designs[start]
-            group = certificate.group_for(anchor.n_spare > 0,
-                                          anchor.spare_active_prefix)
-            if group is None:
-                continue
-            dominated = [start + offset for offset in group.dominated]
-            if not any(self.evaluator.tier_cost(designs[index]).total
-                       < best_cost for index in dominated):
-                continue  # every skippable member is cost-pruned anyway
-            probe = designs[start + group.least_index]
-            self.stats.dominance_probes += 1
-            unavailability = self._tier_unavailability(probe, load)
-            if unavailability is None:
-                continue  # quarantined: no bound established
-            probe_downtime = unavailability * MINUTES_PER_YEAR
-            if probe_downtime <= target_minutes + _PRUNE_MARGIN_MINUTES:
-                continue  # probe feasible-ish: members must be examined
-            skip.update(dominated)
-            self.stats.dominance_groups_pruned += 1
-            self.pruned_regions.append(PrunedRegion(
-                tier=anchor.tier, resource=anchor.resource,
-                n_active=anchor.n_active, n_spare=anchor.n_spare,
-                spare_active_prefix=anchor.spare_active_prefix,
-                probe=_describe_combo(probe.mechanism_configs),
-                probe_downtime_minutes=probe_downtime,
-                target_minutes=target_minutes,
-                pruned=tuple(
-                    _describe_combo(designs[index].mechanism_configs)
-                    for index in dominated),
-                lemma=group.lemma))
-        return frozenset(skip)
-
     def best_tier_design(self, tier_name: str, load: float,
                          max_downtime: Duration) \
             -> Optional[EvaluatedTierDesign]:
@@ -661,8 +512,7 @@ class TierSearch(_TierSearchBase):
                     best = candidate
         return best
 
-    def tier_frontier(self, tier_name: str, load: float,
-                      dominance_target: Optional[Duration] = None) \
+    def tier_frontier(self, tier_name: str, load: float) \
             -> List[EvaluatedTierDesign]:
         """Pareto frontier (cost vs downtime) for one tier.
 
@@ -671,22 +521,15 @@ class TierSearch(_TierSearchBase):
         within the enumeration bounds.  With a checkpoint attached, a
         frontier this tier completed in a previous (interrupted) run is
         reused verbatim, and a freshly computed one is recorded.
-
-        ``dominance_target`` (with ``prune=True``) statically drops
-        candidates provably above that downtime -- sound for exact
-        series combination against the same target, where such entries
-        can never appear in a feasible combination.
         """
         obs = _obs_current()
         if obs.enabled:
             with obs.span("tier-search", tier=tier_name, load=load,
                           mode="frontier"):
-                return self._tier_frontier(tier_name, load,
-                                           dominance_target)
-        return self._tier_frontier(tier_name, load, dominance_target)
+                return self._tier_frontier(tier_name, load)
+        return self._tier_frontier(tier_name, load)
 
-    def _tier_frontier(self, tier_name: str, load: float,
-                       dominance_target: Optional[Duration] = None) \
+    def _tier_frontier(self, tier_name: str, load: float) \
             -> List[EvaluatedTierDesign]:
         if self.checkpoint is not None:
             stored = self.checkpoint.frontier_for(
@@ -694,15 +537,9 @@ class TierSearch(_TierSearchBase):
             if stored is not None:
                 self.stats.resumed_frontiers += 1
                 return stored
-        pruned_before = self.stats.dominance_pruned
-        candidates = list(self.enumerate_candidates(
-            tier_name, load, dominance_target=dominance_target))
-        frontier = pareto_filter(candidates)
-        # A dominance-pruned frontier is target-specific (entries above
-        # the target are missing), so it must not be recorded where a
-        # later run with different flags would reuse it verbatim.
-        if self.checkpoint is not None \
-                and self.stats.dominance_pruned == pruned_before:
+        frontier = pareto_filter(list(self.enumerate_candidates(
+            tier_name, load)))
+        if self.checkpoint is not None:
             self.checkpoint.store_frontier(tier_name, load, frontier)
         return frontier
 

@@ -120,8 +120,6 @@ CODES: Dict[str, CodeInfo] = {
                        "canonical equivalence classes"),
     "AVD505": CodeInfo(Severity.INFO,
                        "dominance certificate coverage"),
-    "AVD506": CodeInfo(Severity.INFO,
-                       "candidates pruned by dominance certificate"),
     "AVD507": CodeInfo(Severity.ERROR,
                        "contradictory search-space constraints"),
     # -- tier-evaluation store (repro.cache) ------------------------------
@@ -161,16 +159,6 @@ CODES: Dict[str, CodeInfo] = {
     "AVD709": CodeInfo(Severity.WARNING,
                        "watch journal append failed; watcher continuing "
                        "without durability"),
-    # -- vectorized batch solves (repro.batch) ----------------------------
-    "AVD801": CodeInfo(Severity.INFO,
-                       "engine does not support vectorized batch "
-                       "solves; searching on the scalar path"),
-    "AVD802": CodeInfo(Severity.WARNING,
-                       "stacked solve hit a singular system; group "
-                       "members re-solved on the scalar path"),
-    "AVD803": CodeInfo(Severity.INFO,
-                       "chain not representable by a batched template; "
-                       "re-solved on the scalar path"),
     # -- sharded requirement-space map builder (repro.grid) ---------------
     "AVD901": CodeInfo(Severity.WARNING,
                        "grid shard attempt failed; lease reassigned "

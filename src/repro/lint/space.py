@@ -11,9 +11,8 @@ invoked.  Three artifacts come out:
   :mod:`repro.lint.canonical` (the cache-key machinery of ROADMAP
   item 1);
 * **Dominance certificates** -- provable partial orders between
-  mechanism combos (:class:`PruningCertificate`), consumed by
-  :class:`repro.core.search.TierSearch` to skip provably-infeasible
-  candidates (``--prune-dominated``);
+  mechanism combos (:class:`PruningCertificate`), reported as
+  coverage (``AVD505``);
 * **A feasibility report** -- exact cardinality, empty or provably
   unreachable regions given the requirements, redundant dimensions,
   and contradictory fixed settings, as ``AVD5xx`` diagnostics
@@ -29,8 +28,7 @@ contract) lower-bounds the downtime of every combo it dominates: if
 even the probe misses the downtime target, the dominated combos are
 infeasible without being evaluated.  The regime condition guards the
 paper's failover-rule discontinuity (``mttr > failover_time`` flips
-the model structure), and certificates are only applied by the search
-when the active engine is deterministic.
+the model structure).
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> lint)
     from ..core.evaluation import DesignEvaluator
     from ..core.search import SearchLimits
 
-#: Lemma identifiers recorded in certificates and AVD506 provenance.
+#: Lemma identifiers recorded in certificates.
 LEMMA_IN_PLACE = "mttr-monotone/in-place"
 LEMMA_SPARES = "mttr-monotone/fixed-failover-regime"
 
@@ -307,7 +305,7 @@ class SpaceReport:
         return sum(tier.dominance_covered for tier in self.tiers)
 
     def certificates(self) -> Dict[str, Dict[str, PruningCertificate]]:
-        """tier -> resource -> certificate, for search consumption."""
+        """tier -> resource -> certificate."""
         result: Dict[str, Dict[str, PruningCertificate]] = {}
         for tier in self.tiers:
             for option in tier.options:

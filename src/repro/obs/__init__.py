@@ -5,10 +5,11 @@ catalogue):
 
 * **Trace spans** (:mod:`repro.obs.trace`) -- a hierarchical, timed
   record of one engine run: ``design`` -> ``tier-search`` ->
-  ``tier-solve`` -> ``engine-solve``, with worker-process spans
-  re-parented under their submitting ``parallel-batch`` span.
+  ``batch-solve`` (one per Markov wavefront) or ``tier-solve`` ->
+  ``engine-solve`` (one candidate at a time), with worker-process
+  spans re-parented under their submitting ``parallel-batch`` span.
 * **Metrics** (:mod:`repro.obs.metrics`) -- counters, gauges and
-  histograms (evaluations, cache hits, prunes, retries, breaker
+  histograms (evaluations, cache hits, cost prunes, retries, breaker
   trips, per-engine solve-time distributions), snapshotted into
   :class:`repro.core.DesignOutcome`.
 * **Profiles** (:mod:`repro.obs.profile`) -- self/cumulative phase

@@ -1,8 +1,9 @@
 """Hierarchical trace spans for the design engine.
 
 A :class:`Tracer` records a tree of timed :class:`Span` objects:
-``design`` at the root, ``tier-search`` under it, ``tier-solve`` per
-candidate structure, ``engine-solve`` per availability engine call,
+``design`` at the root, ``tier-search`` under it, ``batch-solve`` per
+stacked Markov wavefront, ``tier-solve`` per candidate structure
+solved alone, ``engine-solve`` per availability engine call,
 ``parallel-batch`` per prefetch batch with the worker-side
 ``engine-solve`` spans re-parented under it on merge.
 

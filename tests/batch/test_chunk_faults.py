@@ -1,9 +1,9 @@
 """Process chaos against the *chunked* batch transport.
 
-The scalar chaos suite (tests/integration/test_chaos_design.py)
-proves crashes, hangs and poison candidates degrade gracefully under
-per-candidate dispatch.  These tests re-run that battery with
-batching on, where several candidates share one worker submission: a
+The chaos suite (tests/integration/test_chaos_design.py) proves
+crashes, hangs and poison candidates degrade gracefully under the
+supervised pool.  These tests aim that battery at the chunked
+transport, where several candidates share one worker submission: a
 fault inside a chunk must convict only the poison member (suspicion
 -> isolation -> quarantine), never its chunk-mates, and the surviving
 search must still produce the fault-free design.
@@ -30,14 +30,14 @@ def canonical(outcome):
 
 def supervised_batched(infra, service, worker_plan, jobs=2,
                        task_retries=2, task_timeout=None):
-    """An Aved with batching AND a fault-injecting supervised pool."""
+    """An Aved over a fault-injecting supervised pool (chunked)."""
     probe = Aved(infra, service)
     runtime = ParallelEvaluationRuntime(
         probe.evaluator.engine, jobs=jobs, worker_plan=worker_plan,
         policy=ParallelPolicy(task_retries=task_retries,
                               task_timeout=task_timeout,
                               backoff=FallbackPolicy(backoff_base=0.0)))
-    return Aved(infra, service, parallel=runtime, batch=True), runtime
+    return Aved(infra, service, parallel=runtime), runtime
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,8 @@
-"""The ``--batch`` flag and ``REPRO_BATCH`` environment fallback."""
+"""CLI designs on the batched path compose with ``--jobs`` and ``--cache``."""
 
 import io
 
-import pytest
-
-from repro.cli import main, resolve_batch
-from repro.errors import AvedError
+from repro.cli import main
 
 
 def run(argv):
@@ -18,75 +15,15 @@ BASE = ["design", "--paper-ecommerce", "--app-tier-only",
         "--load", "1000", "--downtime", "100m"]
 
 
-class _Args:
-    def __init__(self, batch=None):
-        self.batch = batch
-
-
-class TestResolveBatch:
-    def test_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch(_Args()) is False
-
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert resolve_batch(_Args(batch=True)) is True
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert resolve_batch(_Args(batch=False)) is False
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("YES", True), ("On", True),
-        ("0", False), ("false", False), ("no", False), ("off", False),
-        ("", False), ("  ", False),
-    ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert resolve_batch(_Args()) is expected
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "definitely")
-        with pytest.raises(AvedError, match="REPRO_BATCH"):
-            resolve_batch(_Args())
-
-
 class TestDesignBatchFlag:
-    def test_batch_flag_reproduces_the_design(self):
-        scalar = run(BASE)
-        batched = run(BASE + ["--batch"])
-        assert scalar[0] == 0 and batched[0] == 0
-        # Identical design, cost and downtime lines (the trailing
-        # search-statistics line is allowed to mention batching).
-        assert scalar[1].splitlines()[:3] == batched[1].splitlines()[:3]
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        scalar = run(BASE + ["--no-batch"])
-        batched = run(BASE)
-        assert scalar[0] == 0 and batched[0] == 0
-        assert scalar[1].splitlines()[:3] == batched[1].splitlines()[:3]
-
-    def test_bad_env_value_errors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "definitely")
-        code, output = run(BASE)
-        assert code == 1
-        assert "REPRO_BATCH" in output
-
     def test_batch_composes_with_jobs_and_cache(self, tmp_path):
-        scalar = run(BASE + ["--jobs", "2"])
-        batched = run(BASE + ["--jobs", "2", "--batch",
-                              "--cache", str(tmp_path / "store")])
-        warm = run(BASE + ["--jobs", "2", "--batch",
+        serial = run(BASE)
+        cold = run(BASE + ["--jobs", "2",
                            "--cache", str(tmp_path / "store")])
-        assert scalar[0] == batched[0] == warm[0] == 0
-        assert scalar[1].splitlines()[:3] == batched[1].splitlines()[:3]
-        assert scalar[1].splitlines()[:3] == warm[1].splitlines()[:3]
-
-    def test_frontier_accepts_batch(self):
-        scalar = run(["frontier", "--paper-ecommerce", "--tier",
-                      "application", "--load", "1000",
-                      "--max-redundancy", "4"])
-        batched = run(["frontier", "--paper-ecommerce", "--tier",
-                       "application", "--load", "1000",
-                       "--max-redundancy", "4", "--batch"])
-        assert scalar[0] == 0 and batched[0] == 0
-        assert scalar[1] == batched[1]
+        warm = run(BASE + ["--jobs", "2",
+                           "--cache", str(tmp_path / "store")])
+        assert serial[0] == cold[0] == warm[0] == 0
+        # Identical design, cost and downtime lines (the trailing
+        # search-statistics and cache lines may differ).
+        assert serial[1].splitlines()[:3] == cold[1].splitlines()[:3]
+        assert serial[1].splitlines()[:3] == warm[1].splitlines()[:3]

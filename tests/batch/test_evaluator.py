@@ -13,7 +13,6 @@ from repro.batch import (TierBatcher, batch_target, solve_models,
                          solve_outcomes, transport_shape_key)
 from repro.batch import evaluator as evaluator_module
 from repro.errors import EvaluationError
-from repro.resilience.events import DegradationLog
 from repro.units import Duration
 
 
@@ -26,6 +25,19 @@ def model(name="t", n=3, m=2, s=0, mtbf_days=60.0, mttr_hours=8.0,
                                 Duration.minutes(failover_minutes),
                                 spare_susceptible=susceptible),),
         repair_crew=crew)
+
+
+@pytest.fixture
+def scalar_resolves(monkeypatch):
+    """Names of the models re-solved on the scalar path, in order."""
+    names = []
+    real = evaluator_module._scalar_outcome
+
+    def recording(tier_model):
+        names.append(tier_model.name)
+        return real(tier_model)
+    monkeypatch.setattr(evaluator_module, "_scalar_outcome", recording)
+    return names
 
 
 def canonical(result):
@@ -78,23 +90,19 @@ class TestSolveModels:
         outcome, = solve_models([multi])
         assert canonical(outcome) == canonical(evaluate_tier(multi))
 
-    def test_anomalous_rates_degrade_to_scalar(self):
+    def test_anomalous_rates_degrade_to_scalar(self, scalar_resolves):
         """An infinite MTBF yields a zero failure rate the templates
-        cannot represent; the member re-solves scalar, logged AVD803."""
+        cannot represent; that member alone re-solves scalar."""
         odd = TierAvailabilityModel(
             "odd", n=3, m=2, s=0,
             modes=(FailureModeEntry("never", Duration(math.inf),
                                     Duration.hours(8),
                                     Duration.minutes(4)),))
         sane = model("sane")
-        log = DegradationLog()
-        outcomes = solve_models([odd, sane], log=log)
+        outcomes = solve_models([odd, sane])
         assert canonical(outcomes[0]) == canonical(evaluate_tier(odd))
         assert canonical(outcomes[1]) == canonical(evaluate_tier(sane))
-        events = list(log)
-        assert len(events) == 1
-        assert events[0].kind == "batch-member-degraded"
-        assert events[0].tier == "odd"
+        assert scalar_resolves == ["odd"]
 
     def test_planning_exception_degrades_only_that_member(self,
                                                           monkeypatch):
@@ -114,24 +122,24 @@ class TestSolveModels:
         assert canonical(outcomes[0]) == canonical(evaluate_tier(weird))
         assert canonical(outcomes[1]) == canonical(evaluate_tier(sane))
 
-    def test_group_fallback_on_singular_stack(self, monkeypatch):
+    def test_group_fallback_on_singular_stack(self, monkeypatch,
+                                              scalar_resolves):
         """When the stacked ladder exhausts (merged and per-group
-        solves both singular), members re-solve scalar with AVD802."""
+        solves both singular), members re-solve scalar."""
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("injected")
         monkeypatch.setattr(evaluator_module, "solve_size_class",
                             singular)
         monkeypatch.setattr(evaluator_module, "solve_stacked", singular)
         models = [model("a"), model("b", n=4, m=2)]
-        log = DegradationLog()
-        outcomes = solve_models(models, log=log)
+        outcomes = solve_models(models)
         for tier_model, outcome in zip(models, outcomes):
             assert canonical(outcome) == \
                 canonical(evaluate_tier(tier_model))
-        kinds = {event.kind for event in log}
-        assert kinds == {"batch-group-fallback"}
+        assert sorted(scalar_resolves) == ["a", "b"]
 
-    def test_group_retry_isolates_the_singular_group(self, monkeypatch):
+    def test_group_retry_isolates_the_singular_group(self, monkeypatch,
+                                                     scalar_resolves):
         """The merged size-class solve failing must not degrade groups
         that solve cleanly on the per-group retry."""
         from repro.batch.stacked import solve_size_class as real_solve
@@ -147,21 +155,19 @@ class TestSolveModels:
         monkeypatch.setattr(evaluator_module, "solve_size_class",
                             first_call_fails)
         models = [model("a"), model("b", n=4, m=2)]
-        log = DegradationLog()
-        outcomes = solve_models(models, log=log)
+        outcomes = solve_models(models)
         for tier_model, outcome in zip(models, outcomes):
             assert canonical(outcome) == \
                 canonical(evaluate_tier(tier_model))
-        assert not len(log)          # per-group retry succeeded
+        assert scalar_resolves == []  # per-group retry succeeded
 
-    def test_oversized_chain_defers_to_scalar(self):
+    def test_oversized_chain_defers_to_scalar(self, scalar_resolves):
         """Beyond the dense limit the scalar path switches to the
         sparse solver; the batch must defer rather than diverge."""
         big = model("big", n=2000, m=1500, mttr_hours=1.0)
-        log = DegradationLog()
-        outcome, = solve_models([big], log=log)
+        outcome, = solve_models([big])
         assert canonical(outcome) == canonical(evaluate_tier(big))
-        assert [event.kind for event in log] == ["batch-member-degraded"]
+        assert scalar_resolves == ["big"]
 
     def test_chain_cache_reuses_solved_chains(self, monkeypatch):
         shared = model("x", n=3, m=2)

@@ -17,6 +17,8 @@ from repro.batch import (assemble_systems, failover_template,
 from repro.batch.stacked import _ordered_row_sums
 from repro.units import Duration
 
+from .test_templates import template_edges
+
 
 def rates_matrix(columns):
     """Stack (failure, spare, failover, repair) columns into (4, K)."""
@@ -63,7 +65,7 @@ class TestAssembly:
         systems = assemble_systems(template, rates)
         size = template.size
         scalar = np.zeros((size, size))
-        for origin, target, kind, coeff in template.edges:
+        for origin, target, kind, coeff in template_edges(template):
             rate = coeff * (failure if kind == 0 else repair)
             scalar[origin, target] += rate
             scalar[origin, origin] -= rate

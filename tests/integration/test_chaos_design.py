@@ -19,6 +19,8 @@ from repro.resilience import (ChaosEngine, FallbackEngine, FallbackPolicy,
                               WorkerFaultPlan)
 from repro.units import Duration
 
+from ..reference import ScalarMarkovEngine
+
 
 REQUIREMENTS = ServiceRequirements(1000, Duration.minutes(100))
 
@@ -111,13 +113,19 @@ class TestThirtyPercentFaults:
 
 def _supervised(paper_infra, service, worker_plan, jobs=2,
                 task_retries=2):
-    """An Aved over a supervised runtime with process faults injected."""
-    engine = Aved(paper_infra, service)
+    """An Aved over a supervised runtime with process faults injected.
+
+    Runs on the scalar reference engine, so candidates ride to workers
+    one per submission (TestWorkerCrashFaultsBatched covers the
+    default, shape-chunked transport).
+    """
     runtime = ParallelEvaluationRuntime(
-        engine.evaluator.engine, jobs=jobs, worker_plan=worker_plan,
+        ScalarMarkovEngine(), jobs=jobs, worker_plan=worker_plan,
         policy=ParallelPolicy(task_retries=task_retries,
                               backoff=FallbackPolicy(backoff_base=0.0)))
-    return Aved(paper_infra, service, parallel=runtime), runtime
+    return Aved(paper_infra, service,
+                availability_engine=ScalarMarkovEngine(),
+                parallel=runtime), runtime
 
 
 class TestWorkerCrashFaults:
@@ -191,8 +199,8 @@ class TestWorkerCrashFaults:
 
 
 class TestWorkerCrashFaultsBatched:
-    """The same process chaos with the vectorized batch transport on
-    (candidates ride to workers in shape chunks).  The fine-grained
+    """The same process chaos on the default Markov search, whose
+    candidates ride to workers in shape chunks.  The fine-grained
     chunk-fault battery lives in tests/batch/test_chunk_faults.py;
     this leg keeps the end-to-end chaos claim honest in both modes."""
 
@@ -206,8 +214,7 @@ class TestWorkerCrashFaultsBatched:
             policy=ParallelPolicy(
                 task_retries=2,
                 backoff=FallbackPolicy(backoff_base=0.0)))
-        batched = Aved(paper_infra, ecommerce, parallel=runtime,
-                       batch=True)
+        batched = Aved(paper_infra, ecommerce, parallel=runtime)
         try:
             outcome = batched.design(REQUIREMENTS)
         finally:

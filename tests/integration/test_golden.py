@@ -35,24 +35,6 @@ def test_ecommerce_design_snapshot(paper_infra, ecommerce, golden):
                  evaluation_to_dict(outcome.evaluation))
 
 
-def test_ecommerce_design_snapshot_batched(paper_infra, ecommerce,
-                                           golden):
-    """The batched path must reproduce the *same committed fixture* as
-    the scalar run -- byte-identical snapshots, not a parallel set of
-    batched fixtures."""
-    outcome = Aved(paper_infra, ecommerce, batch=True).design(SERVICE_REQ)
-    golden.check("design_ecommerce_load1000_100m",
-                 evaluation_to_dict(outcome.evaluation))
-
-
-def test_app_tier_design_snapshot_batched(paper_infra,
-                                          app_tier_service, golden):
-    outcome = Aved(paper_infra, app_tier_service,
-                   batch=True).design(SERVICE_REQ)
-    golden.check("design_app_tier_load1000_100m",
-                 evaluation_to_dict(outcome.evaluation))
-
-
 def test_scientific_job_design_snapshot(paper_infra, scientific,
                                         golden):
     """Table 1's scientific row: 20h expected-completion budget."""

@@ -2,8 +2,8 @@
 
 Covers the AVD500-series diagnostics, the exact cardinality count, the
 certificate structure (probe choice, regime guard), and the strict
-exit code.  The *soundness* of certificates against live searches is
-pinned in ``tests/core/test_search_pruning.py`` and the property suite.
+exit code.  Certificates feed only the static coverage report
+(``AVD505``); no search consumes them.
 """
 
 import pytest

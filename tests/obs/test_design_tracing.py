@@ -14,6 +14,8 @@ from repro.model import ServiceRequirements
 from repro.obs import observing
 from repro.units import Duration
 
+from ..reference import ScalarMarkovEngine
+
 REQ = ServiceRequirements(throughput=1000,
                           max_annual_downtime=Duration.minutes(100))
 LIMITS = SearchLimits(max_redundancy=2)
@@ -43,16 +45,36 @@ def _strip_times(span):
 
 def test_traced_design_covers_search_evaluation_engine(paper_infra,
                                                        app_tier_service):
+    """A Markov search solves each wavefront in one ``batch-solve``
+    span under ``tier-search``; the final check calls the engine."""
     with observing() as obs:
         outcome = Aved(paper_infra, app_tier_service,
                        limits=LIMITS).design(REQ)
     roots = obs.tracer.to_dicts()
     assert [root["name"] for root in roots] == ["design"]
     names = _span_names(roots)
-    assert {"design", "tier-search", "tier-solve", "model-gen",
+    assert {"design", "tier-search", "batch-solve", "model-gen",
             "engine-solve", "verify-design"} <= names
-    # engine-solve sits under tier-solve which sits under tier-search
     (design,) = roots
+    searches = [c for c in design["children"]
+                if c["name"] == "tier-search"]
+    assert searches
+    wavefronts = [c for c in searches[0]["children"]
+                  if c["name"] == "batch-solve"]
+    assert len(wavefronts) == outcome.stats.batched_wavefronts
+    assert sum(w["attributes"]["tasks"] for w in wavefronts) == \
+        outcome.stats.batched_solves
+    assert outcome.metrics is not None
+
+
+def test_scalar_search_nests_engine_solves(paper_infra,
+                                           app_tier_service):
+    """On the scalar path each structure is a ``tier-solve`` span with
+    its ``engine-solve`` beneath it."""
+    with observing() as obs:
+        Aved(paper_infra, app_tier_service, limits=LIMITS,
+             availability_engine=ScalarMarkovEngine()).design(REQ)
+    (design,) = obs.tracer.to_dicts()
     searches = [c for c in design["children"]
                 if c["name"] == "tier-search"]
     assert searches
@@ -61,7 +83,6 @@ def test_traced_design_covers_search_evaluation_engine(paper_infra,
     assert solves
     assert any(g["name"] == "engine-solve"
                for s in solves for g in s["children"])
-    assert outcome.metrics is not None
 
 
 def test_multi_tier_design_has_combine_span(paper_infra, ecommerce):

@@ -1,6 +1,6 @@
-"""Differential soundness of canonical keys and dominance pruning.
+"""Differential soundness of canonical keys and batched searches.
 
-Two contracts from :mod:`repro.lint`:
+Two contracts:
 
 * **Key soundness** -- equal canonical keys imply serialized-identical
   :class:`TierResult` under every engine (Markov, analytic, and the
@@ -8,10 +8,10 @@ Two contracts from :mod:`repro.lint`:
   only in attributes the canonical form provably drops (failover
   decoration of spare-less tiers), the exact collapse the key relies
   on.
-* **Pruning soundness** -- a search with ``prune=True`` returns a
-  byte-identical :class:`DesignOutcome` to the exhaustive run on the
-  same space, for every requirement point; candidates it skipped were
-  therefore genuinely dominated.
+* **Batched-search soundness** -- the default search, which solves
+  Markov tiers in vectorized wavefronts (:mod:`repro.batch`), returns
+  a byte-identical :class:`DesignOutcome` to the scalar per-candidate
+  search on the same space, for every requirement point.
 """
 
 import json
@@ -30,6 +30,7 @@ from repro.model import ServiceRequirements
 from repro.units import Duration
 
 from ..lint.test_space import build_infra, build_service
+from ..reference import ScalarMarkovEngine
 
 ENGINES = (MarkovEngine(), AnalyticEngine(),
            SimulationEngine(years=5.0, seed=7))
@@ -108,7 +109,7 @@ class TestKeySoundness:
         assert canonical_key(first) == canonical_key(copy)
 
 
-class TestPruningSoundness:
+class TestBatchedSearchSoundness:
     @given(fast_mttr_hours=st.floats(min_value=0.5, max_value=23.0,
                                      allow_nan=False),
            target_minutes=st.floats(min_value=5.0, max_value=2000.0,
@@ -117,7 +118,7 @@ class TestPruningSoundness:
                           allow_nan=False),
            max_redundancy=st.integers(min_value=1, max_value=2))
     @settings(max_examples=25, deadline=None)
-    def test_pruned_search_equals_exhaustive_search(
+    def test_batched_search_equals_scalar_search(
             self, fast_mttr_hours, target_minutes, load, max_redundancy):
         infra = build_infra([
             ("basic", Duration.hours(24)),
@@ -127,21 +128,21 @@ class TestPruningSoundness:
         requirements = ServiceRequirements(
             load, Duration.minutes(target_minutes))
         outcomes = {}
-        for prune in (True, False):
-            engine = Aved(infra, service, limits=limits, prune=prune)
+        for name, engine in (("batched", MarkovEngine()),
+                             ("scalar", ScalarMarkovEngine())):
+            aved = Aved(infra, service, availability_engine=engine,
+                        limits=limits)
             try:
-                outcomes[prune] = engine.design(requirements)
+                outcomes[name] = aved.design(requirements)
             except InfeasibleError:
-                outcomes[prune] = None
-        if outcomes[False] is None:
-            # Pruning only ever *removes* provably-infeasible
-            # candidates, so it cannot make an infeasible point
-            # feasible either.
-            assert outcomes[True] is None
+                outcomes[name] = None
+        if outcomes["scalar"] is None:
+            assert outcomes["batched"] is None
             return
-        assert outcomes[True] is not None
-        assert json.dumps(evaluation_to_dict(outcomes[True].evaluation),
-                          sort_keys=True) == \
-            json.dumps(evaluation_to_dict(outcomes[False].evaluation),
+        assert outcomes["batched"] is not None
+        assert json.dumps(evaluation_to_dict(
+            outcomes["batched"].evaluation), sort_keys=True) == \
+            json.dumps(evaluation_to_dict(outcomes["scalar"].evaluation),
                        sort_keys=True)
-        assert outcomes[False].stats.dominance_pruned == 0
+        assert outcomes["batched"].stats.batched_solves > 0
+        assert outcomes["scalar"].stats.batched_solves == 0
