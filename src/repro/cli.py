@@ -682,10 +682,11 @@ def _interruptible(enabled: bool):
 
 
 def _write_json(path: str, text: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
+    # Atomic: ``repro serve --map`` reloads the file when it changes.
+    from .fsio import atomic_write_bytes
+    if not text.endswith("\n"):
+        text += "\n"
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _write_observability(args, observer) -> None:

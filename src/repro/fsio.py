@@ -1,8 +1,8 @@
 """Crash-safe filesystem primitives shared by the durable subsystems.
 
-Two disciplines, factored out of :mod:`repro.resilience.checkpoint` so
-the checkpoint, the tier-evaluation store (:mod:`repro.cache`), and
-any future durable state all persist the same way:
+Three disciplines, so the checkpoint, the tier-evaluation store
+(:mod:`repro.cache`), the serve/watch/grid journals and any future
+durable state all persist the same way:
 
 * **pid-stamped sidecar locks** -- a writer creates ``<target>.lock``
   exclusively (``O_CREAT | O_EXCL``) with its pid inside; a lock whose
@@ -13,7 +13,10 @@ any future durable state all persist the same way:
 * **atomic replace** -- data is written to a temp file in the target's
   directory, fsynced, then ``os.replace``'d over the target, so a
   reader never observes a torn file and a crash at any instant leaves
-  either the old content or the new, never a mix.
+  either the old content or the new, never a mix;
+* **framed journals** -- :class:`Journal` appends one record per line,
+  each framed by its length and SHA-256 digest, so replay tells a torn
+  tail from mid-file damage and never applies an altered record.
 
 Readers need no locks under this scheme: they only ever see complete
 files (rename is atomic on POSIX), which is what lets the cache serve
@@ -22,9 +25,14 @@ lock-free reads to any number of concurrent processes.
 
 from __future__ import annotations
 
+import errno
+import hashlib
+import json
 import os
+import re
 import tempfile
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Any, Iterable, List, Optional
 
 
 class LockContention(OSError):
@@ -128,5 +136,108 @@ def atomic_write_bytes(target: str, data: bytes,
         raise
 
 
+#: ``<length> <sha256 hex> `` in front of each journal record's body.
+_FRAME_HEADER = re.compile(rb"(\d{1,10}) ([0-9a-f]{64}) ")
+
+
+def encode_record(record: Any) -> bytes:
+    """One journal line: ``<length> <sha256> <json body>`` + newline."""
+    body = json.dumps(record, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return b"%d %s %s\n" % (len(body), digest, body)
+
+
+@dataclass
+class JournalReplay:
+    """Verified records in file order.  ``torn`` counts an unterminated
+    final frame that fails verification (a crash mid-append),
+    ``corrupt`` the terminated lines that fail it."""
+
+    records: List[Any] = field(default_factory=list)
+    torn: int = 0
+    corrupt: int = 0
+
+
+def decode_records(data: bytes) -> JournalReplay:
+    """Replay framed journal bytes, resyncing past bad frames.
+
+    Only a body that matches its digest is trusted.  The length makes a
+    frame self-delimiting, so a damaged newline costs nothing; a frame
+    that fails is skipped to the next newline, so one damaged byte
+    costs at most the record whose frame holds it.
+    """
+    replay = JournalReplay()
+    position = 0
+    while position < len(data):
+        header = _FRAME_HEADER.match(data, position)
+        if header is not None:
+            body = data[header.end():header.end() + int(header.group(1))]
+            if hashlib.sha256(body).hexdigest() == header.group(2).decode():
+                replay.records.append(json.loads(body))
+                position = header.end() + len(body) + 1  # + terminator
+                continue
+        newline = data.find(b"\n", position)
+        if newline < 0:
+            replay.torn += 1
+            break
+        if newline > position:      # a blank line is a torn-tail fence
+            replay.corrupt += 1
+        position = newline + 1
+    return replay
+
+
+class Journal:
+    """An append-only journal of framed JSON records.  :meth:`replay`
+    never writes, so it is safe beside a live appender."""
+
+    def __init__(self, path: str, durable: bool = True):
+        self.path = path
+        self.durable = durable
+
+    def append(self, record: Any) -> None:
+        """One ``os.write`` on an ``O_APPEND`` fd, fsync'd if durable.
+
+        A file that does not end in a newline (a torn append) is fenced
+        off with one first; bytes already there are never rewritten.
+        """
+        frame = encode_record(record)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
+                     0o644)
+        try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                frame = b"\n" + frame
+            if os.write(fd, frame) != len(frame):
+                raise OSError(errno.EIO, "short write to %r" % self.path)
+            if self.durable:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def replay(self) -> JournalReplay:
+        try:
+            with open(self.path, "rb") as handle:
+                return decode_records(handle.read())
+        except FileNotFoundError:
+            return JournalReplay()
+
+    def rewrite(self, records: Iterable[Any],
+                preserve: bool = False) -> None:
+        """Atomically replace the journal with ``records``.  With
+        ``preserve``, first copy it to the first free
+        ``<path>.corrupt-N`` so compaction never erases evidence."""
+        if preserve:
+            number = 1
+            while os.path.exists("%s.corrupt-%d" % (self.path, number)):
+                number += 1
+            with open(self.path, "rb") as handle:
+                atomic_write_bytes("%s.corrupt-%d" % (self.path, number),
+                                   handle.read(), durable=self.durable)
+        atomic_write_bytes(self.path,
+                           b"".join(map(encode_record, records)),
+                           durable=self.durable)
+
+
 __all__ = ["LockContention", "pid_alive", "lock_holder", "acquire_lock",
-           "release_lock", "atomic_write_bytes"]
+           "release_lock", "atomic_write_bytes", "encode_record",
+           "decode_records", "JournalReplay", "Journal"]

@@ -372,9 +372,6 @@ class GridBuilder:
             built_loads = built
         state = "complete" if built_loads >= total else (
             "partial" if built_loads else "building")
-        journal = (self.journal.status() if self.journal is not None
-                   else {"enabled": False, "degraded": False,
-                         "appends": 0})
         return {
             "tier": self.spec.tier,
             "state": state,
@@ -394,7 +391,7 @@ class GridBuilder:
             "convicted_cells": [
                 {"load": load, "reason": reason}
                 for load, reason in sorted(self.convicted.items())],
-            "journal": journal,
+            "journal": GridJournal.status_of(self.journal),
             "resumed": self.resumed,
             "format_version": MAP_FORMAT_VERSION,
             "degradations": self.log.counts(),

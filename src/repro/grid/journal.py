@@ -1,12 +1,14 @@
 """The grid build's crash journal: finished shards survive kill -9.
 
 Same discipline as the serve/watch journals: an append-only, fsync'd
-JSONL file.  Each shard's lifecycle is bracketed by a ``shard-start``
-record (lease: holder pid, wall-clock deadline, attempt) and a
-``shard-done`` record carrying the shard's *full serialized frontier
-points* -- so replay after a kill needs no re-evaluation for finished
-shards, just deserialization.  Convictions (``cell-convicted``) are
-journaled too, so a resumed build does not re-litigate a poison cell.
+:class:`repro.fsio.Journal` (frame format and damage handling: the
+"Journals" section of ``docs/RESILIENCE.md``).  Each shard's lifecycle
+is bracketed by a ``shard-start`` record (lease: holder pid,
+wall-clock deadline, attempt) and a ``shard-done`` record carrying the
+shard's *full serialized frontier points* -- so replay after a kill
+needs no re-evaluation for finished shards, just deserialization.
+Convictions (``cell-convicted``) are journaled too, so a resumed build
+does not re-litigate a poison cell.
 
 Replay semantics:
 
@@ -15,8 +17,6 @@ Replay semantics:
 * start, no done      -> the process died (or was killed) mid-shard.
   The lease is abandoned; a resuming build reclaims it (``AVD906``)
   and re-runs the shard from scratch.
-* torn tail           -> the append itself was the victim; the partial
-  line is skipped, which re-runs the interrupted shard.
 
 Records carry the grid's :meth:`~repro.grid.GridSpec.key`; replay
 ignores records written for a different grid, and a shard's points are
@@ -36,7 +36,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..resilience.events import GRID_JOURNAL_FAULT, DegradationLog
+from ..resilience.events import (GRID_JOURNAL_FAULT, DegradationLog,
+                                 DegradingJournal)
 
 #: Journal entry kinds.
 SHARD_START = "shard-start"
@@ -62,46 +63,26 @@ class GridJournalState:
     abandoned: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Journaled convictions: load -> reason.
     convicted: Dict[float, str] = field(default_factory=dict)
-    #: Records successfully parsed (for this grid).
+    #: Verified records replayed (for this grid).
     entries: int = 0
-    #: Lines that did not parse (torn tail, corruption); ignored.
+    #: Torn or corrupt records; ignored.
     skipped: int = 0
-    #: Parsed records belonging to a different grid key; ignored.
+    #: Verified records of another grid (or schema); ignored.
     foreign: int = 0
 
 
-class GridJournal:
-    """Append-only fsync'd journal with degrade-on-write-failure."""
+class GridJournal(DegradingJournal):
+    """The grid build's shard journal; a failed append logs ``AVD905``."""
+
+    fault = GRID_JOURNAL_FAULT
 
     def __init__(self, path: str, grid_key: str,
                  log: Optional[DegradationLog] = None):
-        self.path = path
+        super().__init__(path, log)
         self.grid_key = grid_key
-        self.log = log if log is not None else DegradationLog()
-        #: True once an append has failed; the build keeps running but
-        #: finished shards are no longer durable.
-        self.degraded = False
-        self.appends = 0
-
-    # -- writing -------------------------------------------------------
 
     def append(self, entry: str, **payload: Any) -> bool:
-        """Durably append one record; False (and AVD905) on failure."""
-        record = {"entry": entry, "grid": self.grid_key}
-        record.update(payload)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        try:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            self.degraded = True
-            self.log.add(GRID_JOURNAL_FAULT,
-                         detail="%s: %s" % (entry, exc))
-            return False
-        self.appends += 1
-        return True
+        return self._write(dict(payload, entry=entry, grid=self.grid_key))
 
     def shard_start(self, shard_id: int, loads: Sequence[float],
                     attempt: int, holder: int,
@@ -125,13 +106,11 @@ class GridJournal:
         """Append a torn partial record (no newline): chaos only.
 
         Simulates a kill landing mid-append; replay must skip the
-        fragment and lose nothing that was durably written before it.
+        fragment and lose nothing written before or after it.
         """
         try:
             with open(self.path, "ab") as handle:
                 handle.write(fragment)
-                handle.flush()
-                os.fsync(handle.fileno())
         except OSError:
             pass
 
@@ -141,48 +120,26 @@ class GridJournal:
     def replay(path: str, grid_key: str) -> GridJournalState:
         """Reconstruct a build's durable state from the journal file."""
         state = GridJournalState()
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return state
+        records, state.skipped = DegradingJournal._replay(path)
         starts: Dict[str, Dict[str, Any]] = {}
-        for raw in data.split(b"\n"):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                entry = record["entry"]
-                grid = record["grid"]
-            except (ValueError, KeyError, TypeError,
-                    UnicodeDecodeError):
-                state.skipped += 1
-                continue
-            if not isinstance(record, dict) or grid != grid_key:
+        for record in records:
+            # Verified frames are exactly what ``append`` wrote, so
+            # only the grid key needs checking.
+            if not isinstance(record, dict) \
+                    or record.get("grid") != grid_key:
                 state.foreign += 1
                 continue
             state.entries += 1
+            entry, key = record["entry"], record.get("loads", "")
             if entry == SHARD_START:
-                starts[record.get("loads", "")] = record
+                starts[key] = record
             elif entry == SHARD_DONE:
-                key = record.get("loads", "")
-                points = record.get("points")
-                if isinstance(points, list):
-                    state.done[key] = points
+                state.done[key] = record["points"]
                 starts.pop(key, None)
             elif entry == CELL_CONVICTED:
-                try:
-                    state.convicted[float(record["load"])] = \
-                        str(record.get("reason", ""))
-                except (KeyError, TypeError, ValueError):
-                    state.skipped += 1
+                state.convicted[float(record["load"])] = record["reason"]
         state.abandoned = starts
         return state
-
-    def status(self) -> Dict[str, Any]:
-        """The journal member of the MAP_STATUS_SCHEMA document."""
-        return {"enabled": True, "degraded": self.degraded,
-                "appends": self.appends}
 
 
 def lease_abandoned(record: Dict[str, Any], now: float,

@@ -248,8 +248,7 @@ class MapService:
             "loads_total": total,
             "loads_built": built,
             "shards": {"total": 0, "done": 0, "pending": 0},
-            "journal": {"enabled": False, "degraded": False,
-                        "appends": 0},
+            "journal": GridJournal.status_of(None),
             "map_path": self.map_path,
             "map_age_seconds": self.age_seconds(),
             "format_version": MAP_FORMAT_VERSION,

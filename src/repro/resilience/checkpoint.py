@@ -33,31 +33,15 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import AvedError, CheckpointError
-from ..fsio import LockContention, acquire_lock, release_lock
+from ..fsio import (LockContention, acquire_lock, atomic_write_bytes,
+                    release_lock)
 from ..model import InfrastructureModel
 from .events import CHECKPOINT_FAULT, DegradationLog
 
 _VERSION = 1
-
-
-def _acquire_lock(target: str) -> str:
-    """Acquire the pid-stamped sidecar lock (see :mod:`repro.fsio`).
-
-    A lock held by a *live* process raises :class:`CheckpointError`
-    (single-writer assertion); stale locks are broken by the shared
-    helper.
-    """
-    try:
-        return acquire_lock(target)
-    except LockContention as exc:
-        raise CheckpointError("checkpoint %s" % exc) from exc.__cause__
-
-
-_release_lock = release_lock
 
 
 def _key_to_json(value: Any) -> Any:
@@ -219,28 +203,21 @@ class SearchCheckpoint:
         except OSError as exc:
             raise CheckpointError("cannot save checkpoint to %r: %s"
                                   % (target, exc)) from exc
-        lock_path = _acquire_lock(target)
         try:
-            handle = tempfile.NamedTemporaryFile(
-                "w", dir=directory, prefix=".checkpoint-",
-                suffix=".tmp", delete=False)
-            try:
-                with handle:
-                    json.dump(self.to_dict(), handle)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(handle.name, target)
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
+            # A live competing writer is a single-writer violation;
+            # a stale lock is broken by the shared helper.
+            lock_path = acquire_lock(target)
+        except LockContention as exc:
+            raise CheckpointError("checkpoint %s" % exc) from exc.__cause__
+        try:
+            atomic_write_bytes(target,
+                               json.dumps(self.to_dict()).encode("utf-8"),
+                               prefix=".checkpoint-")
         except OSError as exc:
             raise CheckpointError("cannot save checkpoint to %r: %s"
                                   % (target, exc)) from exc
         finally:
-            _release_lock(lock_path)
+            release_lock(lock_path)
         self._pending = 0
         self._retry_at = 0
         return target

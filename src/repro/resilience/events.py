@@ -12,8 +12,9 @@ gates on, and in :meth:`repro.core.DesignOutcome.summary`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..fsio import Journal
 from ..lint import Diagnostic, LintReport
 from ..obs import current as _obs_current
 
@@ -193,3 +194,55 @@ class DegradationLog:
         if extra:
             report.extend(extra)
         return report
+
+
+class DegradingJournal:
+    """A :class:`repro.fsio.Journal` whose faults degrade the owner
+    instead of raising: a failed append is dropped and logged as
+    :attr:`fault`, and an unreadable journal replays as empty."""
+
+    #: Event kind logged when an append fails.
+    fault = ""
+
+    def __init__(self, path: str,
+                 log: Optional[DegradationLog] = None):
+        self.path = path
+        self.log = log if log is not None else DegradationLog()
+        #: True once an append has failed: state is no longer durable.
+        self.degraded = False
+        self.appends = 0
+        self._journal = Journal(path)
+
+    def _write(self, record: Dict[str, Any]) -> bool:
+        """Durably append one record; False (and :attr:`fault`) on
+        failure."""
+        try:
+            self._journal.append(record)
+        except OSError as exc:
+            self.degraded = True
+            self.log.add(self.fault,
+                         detail="%s: %s" % (record["entry"], exc))
+            return False
+        self.appends += 1
+        return True
+
+    def status(self) -> Dict[str, Any]:
+        """The ``journal`` member of the watch and map status documents."""
+        return {"enabled": True, "degraded": self.degraded,
+                "appends": self.appends}
+
+    @staticmethod
+    def status_of(journal: Optional["DegradingJournal"]) -> Dict[str, Any]:
+        """``journal.status()``, or the disabled member without one."""
+        if journal is None:
+            return {"enabled": False, "degraded": False, "appends": 0}
+        return journal.status()
+
+    @staticmethod
+    def _replay(path: str) -> Tuple[List[Any], int]:
+        """Verified records, and how many torn or corrupt were skipped."""
+        try:
+            replayed = Journal(path).replay()
+        except OSError:
+            return [], 0
+        return replayed.records, replayed.torn + replayed.corrupt

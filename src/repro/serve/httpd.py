@@ -41,6 +41,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import ServeError
+from ..fsio import atomic_write_bytes
 from .config import ServeConfig
 from .service import DesignService
 
@@ -312,12 +313,9 @@ class DesignDaemon:
         race the daemon's boot)."""
         record = {"host": self.host, "port": self.port,
                   "pid": os.getpid(), "url": self.url}
-        temp = self.config.endpoint_path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.config.endpoint_path)
+        atomic_write_bytes(self.config.endpoint_path,
+                           json.dumps(record, sort_keys=True)
+                           .encode("utf-8"))
 
 
 __all__ = ["DesignDaemon", "MAX_WAIT_SECONDS"]

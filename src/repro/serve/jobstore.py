@@ -1,18 +1,20 @@
-"""Crash-safe job persistence: an append-only JSONL journal.
+"""Crash-safe job persistence: an append-only record journal.
 
-Every state transition a job takes is one fsync'd JSON line in
-``jobs.jsonl``.  Crash safety falls out of three properties:
+Every state transition a job takes is one fsync'd record in
+``jobs.jsonl``, a :class:`repro.fsio.Journal` (torn and corrupt
+records: the "Journals" section of ``docs/RESILIENCE.md``).  Crash
+safety falls out of three properties:
 
-* **append-only writes** -- a ``kill -9`` can at worst tear the final
-  line, never corrupt history; replay ignores a torn tail;
+* **append-only** -- a ``kill -9`` can at worst tear the final record;
 * **first-terminal-wins** -- ``completed``/``failed``/``cancelled``
   for an already-terminal job is refused at the API *and* ignored at
   replay, which is what makes re-running a recovered job exactly-once
   in the journal even if two histories overlap after a crash;
 * **startup compaction** -- replay rebuilds current state, then
-  atomically (temp file + fsync + rename) rewrites the journal to one
-  ``accepted`` line per job plus its terminal line, so the journal
-  stays bounded across restarts.
+  atomically rewrites the journal to one ``accepted`` record per job
+  plus its terminal record, so the journal stays bounded across
+  restarts.  A journal with corrupt records is first preserved as
+  ``jobs.jsonl.corrupt-N``.
 
 Jobs that replay as ``queued`` or ``running`` are *recoverable*: the
 service re-queues them on boot (a ``running`` job whose daemon died
@@ -22,13 +24,13 @@ result).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ServeError
+from ..fsio import Journal
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -37,6 +39,11 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 
 TERMINAL_STATES = frozenset({COMPLETED, FAILED, CANCELLED})
+
+#: Terminal state (also its journal event name) -> (the event's detail
+#: field, the :class:`Job` attribute holding it).
+_DETAIL = {COMPLETED: ("result", "result"), FAILED: ("error", "error"),
+           CANCELLED: ("reason", "cancel_reason")}
 
 
 class Job:
@@ -81,11 +88,11 @@ class JobStore:
 
     def __init__(self, path: str, fsync: bool = True):
         self.path = path
-        self.fsync = fsync
+        self._journal = Journal(path, durable=fsync)
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._sequence = 0
-        self._torn_lines = 0
+        self._closed = False
         self._lock = threading.RLock()
         self._terminal = threading.Condition(self._lock)
         directory = os.path.dirname(os.path.abspath(path))
@@ -94,36 +101,21 @@ class JobStore:
         except OSError as exc:
             raise ServeError("cannot create job store directory %r: %s"
                              % (directory, exc)) from exc
-        self._replay()
+        replayed = self._journal.replay()
+        #: Replay evidence: a torn final record (a crash mid-append),
+        #: and damaged records skipped (kept in ``<path>.corrupt-N``).
+        self.torn_lines = replayed.torn
+        self.corrupt_records = replayed.corrupt
+        for event in replayed.records:
+            self._apply(event)
         self._compact()
-        self._handle = open(self.path, "a", encoding="utf-8")
 
     # -- journal mechanics ---------------------------------------------
 
-    def _replay(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    # A torn tail from a crash mid-append.  Anything
-                    # after the first unparseable line is untrusted.
-                    self._torn_lines += 1
-                    break
-                self._apply(event)
-
     def _apply(self, event: Dict[str, Any]) -> None:
-        kind = event.get("event")
-        job_id = event.get("id")
-        if not isinstance(job_id, str) or not isinstance(kind, str):
-            self._torn_lines += 1
-            return
-        if kind == "accepted":
+        # A verified record is exactly what ``_append`` wrote.
+        job_id = event["id"]
+        if event["event"] == "accepted":
             if job_id not in self._jobs:
                 job = Job(job_id, event.get("payload") or {},
                           attempts=int(event.get("attempts", 0)))
@@ -132,22 +124,8 @@ class JobStore:
                 self._bump_sequence(job_id)
             return
         job = self._jobs.get(job_id)
-        if job is None or job.terminal:
-            return
-        if kind == "started":
-            job.state = RUNNING
-            job.attempts += 1
-        elif kind == "requeued":
-            job.state = QUEUED
-        elif kind == "completed":
-            job.state = COMPLETED
-            job.result = event.get("result")
-        elif kind == "failed":
-            job.state = FAILED
-            job.error = event.get("error")
-        elif kind == "cancelled":
-            job.state = CANCELLED
-            job.cancel_reason = event.get("reason")
+        if job is not None and not job.terminal:
+            _transition(job, event)
 
     def _bump_sequence(self, job_id: str) -> None:
         try:
@@ -161,39 +139,24 @@ class JobStore:
         """Atomically rewrite the journal from current state."""
         if not self._jobs and not os.path.exists(self.path):
             return
-        temp = self.path + ".compact"
-        with open(temp, "w", encoding="utf-8") as handle:
-            for job_id in self._order:
-                job = self._jobs[job_id]
-                handle.write(json.dumps(
-                    {"event": "accepted", "id": job.id,
-                     "payload": job.payload,
-                     "attempts": job.attempts},
-                    sort_keys=True) + "\n")
-                if job.state == COMPLETED:
-                    handle.write(json.dumps(
-                        {"event": "completed", "id": job.id,
-                         "result": job.result}, sort_keys=True) + "\n")
-                elif job.state == FAILED:
-                    handle.write(json.dumps(
-                        {"event": "failed", "id": job.id,
-                         "error": job.error}, sort_keys=True) + "\n")
-                elif job.state == CANCELLED:
-                    handle.write(json.dumps(
-                        {"event": "cancelled", "id": job.id,
-                         "reason": job.cancel_reason},
-                        sort_keys=True) + "\n")
-                # RUNNING compacts back to accepted: the job never
-                # finished, so after restart it is simply queued again.
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.path)
+        records: List[Dict[str, Any]] = []
+        for job_id in self._order:
+            job = self._jobs[job_id]
+            records.append({"event": "accepted", "id": job.id,
+                            "payload": job.payload,
+                            "attempts": job.attempts})
+            # RUNNING compacts back to accepted: the job never
+            # finished, so after restart it is simply queued again.
+            if job.terminal:
+                field, attribute = _DETAIL[job.state]
+                records.append({"event": job.state, "id": job.id,
+                                field: getattr(job, attribute)})
+        self._journal.rewrite(records, preserve=self.corrupt_records > 0)
 
     def _append(self, event: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        if self._closed:
+            raise ServeError("job store %r is closed" % self.path)
+        self._journal.append(event)
 
     # -- API -----------------------------------------------------------
 
@@ -209,56 +172,32 @@ class JobStore:
             return job
 
     def mark_started(self, job_id: str) -> bool:
-        with self._lock:
-            job = self._require(job_id)
-            if job.terminal:
-                return False
-            job.state = RUNNING
-            job.attempts += 1
-            self._append({"event": "started", "id": job_id,
-                          "attempt": job.attempts})
-            return True
+        return self._record(job_id, "started")
 
     def mark_completed(self, job_id: str,
                        result: Dict[str, Any]) -> bool:
-        return self._terminate(job_id, COMPLETED,
-                               {"event": "completed", "id": job_id,
-                                "result": result})
+        return self._record(job_id, COMPLETED, result=result)
 
     def mark_failed(self, job_id: str, error: Dict[str, Any]) -> bool:
-        return self._terminate(job_id, FAILED,
-                               {"event": "failed", "id": job_id,
-                                "error": error})
+        return self._record(job_id, FAILED, error=error)
 
     def mark_cancelled(self, job_id: str, reason: str) -> bool:
-        return self._terminate(job_id, CANCELLED,
-                               {"event": "cancelled", "id": job_id,
-                                "reason": reason})
+        return self._record(job_id, CANCELLED, reason=reason)
 
     def mark_requeued(self, job_id: str, reason: str) -> bool:
-        with self._lock:
-            job = self._require(job_id)
-            if job.terminal:
-                return False
-            job.state = QUEUED
-            self._append({"event": "requeued", "id": job_id,
-                          "reason": reason})
-            return True
+        return self._record(job_id, "requeued", reason=reason)
 
-    def _terminate(self, job_id: str, state: str,
-                   event: Dict[str, Any]) -> bool:
+    def _record(self, job_id: str, kind: str, **detail: Any) -> bool:
+        """Apply and journal one transition of a non-terminal job."""
         with self._lock:
             job = self._require(job_id)
             if job.terminal:
                 # First terminal event wins; never journal a second.
                 return False
-            job.state = state
-            if state == COMPLETED:
-                job.result = event.get("result")
-            elif state == FAILED:
-                job.error = event.get("error")
-            elif state == CANCELLED:
-                job.cancel_reason = event.get("reason")
+            event = dict(detail, event=kind, id=job_id)
+            _transition(job, event)
+            if kind == "started":
+                event["attempt"] = job.attempts
             self._append(event)
             self._terminal.notify_all()
             return True
@@ -301,11 +240,6 @@ class JobStore:
                 job = self._jobs.get(job_id)
             return job
 
-    @property
-    def torn_lines(self) -> int:
-        """Journal lines dropped at replay (crash-tear evidence)."""
-        return self._torn_lines
-
     def counts(self) -> Dict[str, int]:
         with self._lock:
             counts: Dict[str, int] = {}
@@ -314,12 +248,23 @@ class JobStore:
             return counts
 
     def close(self) -> None:
+        """Refuse further appends (each append already synced)."""
         with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                if self.fsync:
-                    os.fsync(self._handle.fileno())
-                self._handle.close()
+            self._closed = True
+
+
+def _transition(job: Job, event: Dict[str, Any]) -> None:
+    """The state change one journal event makes, live or at replay."""
+    kind = event["event"]
+    if kind == "started":
+        job.state = RUNNING
+        job.attempts += 1
+    elif kind == "requeued":
+        job.state = QUEUED
+    elif kind in _DETAIL:
+        field, attribute = _DETAIL[kind]
+        job.state = kind
+        setattr(job, attribute, event.get(field))
 
 
 __all__ = ["Job", "JobStore", "QUEUED", "RUNNING", "COMPLETED",

@@ -113,6 +113,9 @@ class DesignService:
         if self.store.torn_lines:
             self.metrics.counter("serve.journal_torn_lines") \
                 .inc(self.store.torn_lines)
+        if self.store.corrupt_records:
+            self.metrics.counter("serve.journal_corrupt_records") \
+                .inc(self.store.corrupt_records)
 
     # -- lifecycle -----------------------------------------------------
 

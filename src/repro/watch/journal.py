@@ -1,10 +1,11 @@
 """The watcher's crash journal: exactly-once redesign across kills.
 
-An append-only, fsync'd JSONL file recording the watcher's state
-machine: each drift-triggered redesign is an *epoch* bracketed by a
-``redesign-start`` record (carrying the full drifted spec) and a
-``redesign-done`` record (carrying the decision).  Replay after a
-``kill -9`` is unambiguous:
+An append-only, fsync'd :class:`repro.fsio.Journal` recording the
+watcher's state machine (frame format and damage handling: the
+"Journals" section of ``docs/RESILIENCE.md``): each drift-triggered
+redesign is an *epoch* bracketed by a ``redesign-start`` record
+(carrying the full drifted spec) and a ``redesign-done`` record
+(carrying the decision).  Replay after a ``kill -9`` is unambiguous:
 
 * start + done  -> the epoch completed; its decision is the incumbent.
 * start, no done -> the process died mid-redesign.  The redesign is
@@ -12,8 +13,6 @@ machine: each drift-triggered redesign is an *epoch* bracketed by a
   rerun reaches the decision the killed run would have -- and the done
   record is appended then.  Exactly-once in effect: the decision is
   applied once no matter where the kill landed.
-* torn tail (no trailing newline) -> the append itself was the victim;
-  the partial record is ignored, which re-runs the interrupted step.
 
 Journal *writes* that fail (disk full, permissions) degrade the
 watcher rather than stop it: the append is dropped, an ``AVD709``
@@ -23,12 +22,10 @@ monitoring availability should never be the availability problem.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..resilience.events import DegradationLog, WATCH_JOURNAL_FAULT
+from ..resilience.events import DegradingJournal, WATCH_JOURNAL_FAULT
 
 #: Journal entry kinds.
 REDESIGN_START = "redesign-start"
@@ -48,44 +45,20 @@ class JournalState:
     #: ``redesign-start`` record with no ``redesign-done`` -- the
     #: interrupted redesign replay must finish (exactly once).
     pending: Optional[Dict[str, Any]] = None
-    #: Records successfully parsed.
+    #: Verified records replayed.
     entries: int = 0
-    #: Lines that did not parse (torn tail, corruption); ignored.
+    #: Torn, corrupt or malformed records; ignored.
     skipped: int = 0
 
 
-class WatchJournal:
-    """Append-only fsync'd journal with degrade-on-write-failure."""
+class WatchJournal(DegradingJournal):
+    """The watcher's epoch journal; a failed append logs ``AVD709``."""
 
-    def __init__(self, path: str,
-                 log: Optional[DegradationLog] = None):
-        self.path = path
-        self.log = log if log is not None else DegradationLog()
-        #: True once an append has failed; the watcher keeps running
-        #: but its state is no longer durable.
-        self.degraded = False
-        self.appends = 0
-
-    # -- writing -------------------------------------------------------
+    fault = WATCH_JOURNAL_FAULT
 
     def append(self, entry: str, epoch: int,
                **payload: Any) -> bool:
-        """Durably append one record; False (and AVD709) on failure."""
-        record = {"entry": entry, "epoch": epoch}
-        record.update(payload)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        try:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            self.degraded = True
-            self.log.add(WATCH_JOURNAL_FAULT, detail="%s: %s"
-                         % (entry, exc))
-            return False
-        self.appends += 1
-        return True
+        return self._write(dict(payload, entry=entry, epoch=epoch))
 
     def redesign_start(self, epoch: int,
                        spec: Dict[str, Any]) -> bool:
@@ -101,22 +74,13 @@ class WatchJournal:
     def replay(path: str) -> JournalState:
         """Reconstruct the watcher's state from the journal file."""
         state = JournalState()
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return state
+        records, state.skipped = DegradingJournal._replay(path)
         starts: Dict[int, Dict[str, Any]] = {}
-        for raw in data.split(b"\n"):
-            if not raw.strip():
+        for record in records:
+            if not isinstance(record, dict) or "epoch" not in record:
+                state.skipped += 1      # another journal's schema
                 continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                entry = record["entry"]
-                epoch = int(record["epoch"])
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                state.skipped += 1
-                continue
+            entry, epoch = record.get("entry"), record["epoch"]
             state.entries += 1
             if entry == REDESIGN_START:
                 starts[epoch] = record

@@ -527,13 +527,7 @@ class Watcher:
             "quarantined": len(self.quarantined),
             "drift": (self.last_report.to_dict()
                       if self.last_report is not None else None),
-            "journal": {
-                "enabled": self.journal is not None,
-                "degraded": (self.journal.degraded
-                             if self.journal is not None else False),
-                "appends": (self.journal.appends
-                            if self.journal is not None else 0),
-            },
+            "journal": WatchJournal.status_of(self.journal),
             "search": dict(self.last_search_stats),
             "degradations": self.log.counts(),
         }

@@ -1,6 +1,5 @@
 """GridBuilder: equivalence, the fault ladder, and crash-safe resume."""
 
-import json
 import os
 import time
 
@@ -10,6 +9,7 @@ import pytest
 from repro.contracts import MAP_STATUS_SCHEMA
 from repro.core.serialize import requirement_map_to_json
 from repro.errors import GridError
+from repro.fsio import Journal
 from repro.grid import (GridBuildInterrupted, GridBuilder, GridFaultPlan,
                         GridPolicy, GridSpec, GridJournal, loads_key)
 from repro.resilience.events import (GRID_CELL_CONVICTED,
@@ -35,18 +35,11 @@ def done_counts(journal_path, grid_key):
     """shard-done records per loads-key: the reuse-exactly-once proof."""
     state = GridJournal.replay(journal_path, grid_key)
     counts = {}
-    with open(journal_path, "rb") as handle:
-        for raw in handle.read().split(b"\n"):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                continue
-            if record.get("grid") == grid_key \
-                    and record.get("entry") == "shard-done":
-                key = record["loads"]
-                counts[key] = counts.get(key, 0) + 1
+    for record in Journal(journal_path).replay().records:
+        if record.get("grid") == grid_key \
+                and record.get("entry") == "shard-done":
+            key = record["loads"]
+            counts[key] = counts.get(key, 0) + 1
     assert set(counts) >= set(state.done)
     return counts
 

@@ -11,7 +11,6 @@ and every completed shard reused exactly once after the restart.
 re-running the identical command.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -22,6 +21,7 @@ import pytest
 
 from repro.core.frontier import build_requirement_map
 from repro.core.serialize import requirement_map_to_json
+from repro.fsio import Journal
 from repro.grid import (GridBuildInterrupted, GridBuilder, GridFaultPlan,
                         GridJournal, GridSpec, loads_key)
 
@@ -64,18 +64,10 @@ def build_under_storm(evaluator, spec, journal_path, plan,
 
 def shard_done_counts(journal_path, grid_key):
     counts = {}
-    with open(journal_path, "rb") as handle:
-        for raw in handle.read().split(b"\n"):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                continue
-            if record.get("grid") == grid_key \
-                    and record.get("entry") == "shard-done":
-                counts[record["loads"]] = \
-                    counts.get(record["loads"], 0) + 1
+    for record in Journal(journal_path).replay().records:
+        if record.get("grid") == grid_key \
+                and record.get("entry") == "shard-done":
+            counts[record["loads"]] = counts.get(record["loads"], 0) + 1
     return counts
 
 

@@ -59,6 +59,15 @@ class TestFaultTolerance:
         assert loads_key((1.0,)) in state.done
         assert state.skipped == 1
 
+    def test_append_after_torn_tail_is_kept(self, journal):
+        journal.shard_done(0, (1.0,), [{"load": 1.0}])
+        journal.tear_tail()
+        journal.shard_done(1, (2.0,), [{"load": 2.0}])
+        state = replay(journal)
+        assert list(state.done) == [loads_key((1.0,)),
+                                    loads_key((2.0,))]
+        assert state.skipped == 1
+
     def test_foreign_grid_records_are_counted_not_merged(
             self, journal, tmp_path):
         other = GridJournal(journal.path, "other-grid")

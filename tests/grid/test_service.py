@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -133,6 +135,47 @@ class TestReload:
         answer = service.lookup(LOADS[-1] * 2,
                                 Duration.minutes(5000))
         assert answer["answer"] == "ok"
+
+    def test_failed_rebuild_write_leaves_the_old_map(self, evaluator,
+                                                     map_path):
+        """``repro map build --out`` writes through ``_write_json``.
+
+        A write that fails mid-way (the file-size limit makes it fail
+        with EFBIG after half the new map) must leave the file the
+        service reloads byte-identical, with no temp litter."""
+        pytest.importorskip("resource")
+        with open(map_path, "rb") as handle:
+            before = handle.read()
+        bigger = requirement_map_to_json(build_requirement_map(
+            evaluator, "web", LOADS + (LOADS[-1] * 2,)))
+        source = map_path + ".src"
+        with open(source, "w") as handle:
+            handle.write(bigger)
+        limit = len(bigger) // 2
+        assert len(before) > 0 and limit < len(bigger)
+        script = (
+            "import errno, resource, signal, sys\n"
+            "from repro.cli import _write_json\n"
+            "text = open(sys.argv[2]).read()\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "limit = int(sys.argv[3])\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))\n"
+            "try:\n"
+            "    _write_json(sys.argv[1], text)\n"
+            "except OSError as exc:\n"
+            "    print(errno.errorcode[exc.errno])\n")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath("src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        done = subprocess.run(
+            [sys.executable, "-c", script, map_path, source, str(limit)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "EFBIG", done.stderr
+        with open(map_path, "rb") as handle:
+            assert handle.read() == before
+        assert sorted(os.listdir(os.path.dirname(map_path))) == [
+            "map.json", "map.json.src"]
 
     def test_lookup_is_submillisecond(self, map_path):
         service = MapService(map_path)

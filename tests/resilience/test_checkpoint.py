@@ -90,17 +90,18 @@ class TestRecording:
 class TestAtomicReplace:
     def test_failed_write_leaves_previous_snapshot_intact(
             self, tmp_path, monkeypatch):
-        """A crash mid-write (simulated: json.dump raises) must leave
-        the last complete snapshot on disk, loadable, with no temp
-        litter -- the property the kill-and-resume workflow rests on."""
+        """A crash mid-write (simulated: the temp file's fsync raises)
+        must leave the last complete snapshot on disk, loadable, with
+        no temp litter -- the property the kill-and-resume workflow
+        rests on."""
         path = str(tmp_path / "ck.json")
         checkpoint = SearchCheckpoint(path)
         checkpoint.record_batch([(("a",), 0.1)])
 
-        def exploding_dump(*args, **kwargs):
+        def exploding_fsync(*args, **kwargs):
             raise KeyboardInterrupt("killed mid-write")
 
-        monkeypatch.setattr(json, "dump", exploding_dump)
+        monkeypatch.setattr(os, "fsync", exploding_fsync)
         checkpoint.record_evaluation(("b",), 0.2)
         with pytest.raises(KeyboardInterrupt):
             checkpoint.save()

@@ -1,11 +1,11 @@
 """JobStore: journal replay, torn tails, compaction, exactly-once."""
 
-import json
 import threading
 
 import pytest
 
 from repro.errors import ServeError
+from repro.fsio import Journal, encode_record
 from repro.serve.jobstore import (CANCELLED, COMPLETED, FAILED, QUEUED,
                                   RUNNING, Job, JobStore)
 
@@ -15,12 +15,7 @@ def make_store(tmp_path):
 
 
 def journal_events(tmp_path):
-    events = []
-    with open(tmp_path / "jobs.jsonl", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                events.append(json.loads(line))
-    return events
+    return Journal(str(tmp_path / "jobs.jsonl")).replay().records
 
 
 class TestLifecycle:
@@ -124,19 +119,65 @@ class TestReplay:
         assert reopened.get(job.id).state == COMPLETED
         reopened.close()
 
-    def test_everything_after_first_torn_line_is_untrusted(self,
-                                                           tmp_path):
+    def test_valid_frame_after_corrupt_line_is_applied(self, tmp_path):
         store = make_store(tmp_path)
         job = store.submit({"n": 1})
         store.close()
-        with open(tmp_path / "jobs.jsonl", "a", encoding="utf-8") as fh:
-            fh.write("garbage line\n")
-            fh.write(json.dumps({"event": "completed", "id": job.id,
-                                 "result": {}}) + "\n")
+        with open(tmp_path / "jobs.jsonl", "ab") as fh:
+            fh.write(b"garbage line\n")
+            fh.write(encode_record({"event": "completed", "id": job.id,
+                                    "result": {}}))
 
         reopened = make_store(tmp_path)
-        assert reopened.get(job.id).state == QUEUED
+        assert reopened.corrupt_records == 1
+        assert reopened.torn_lines == 0
+        assert reopened.get(job.id).state == COMPLETED
         reopened.close()
+
+    def test_damaged_record_costs_only_its_own_job(self, tmp_path):
+        store = make_store(tmp_path)
+        for n in range(5):
+            store.submit({"n": n})
+        store.close()
+        path = tmp_path / "jobs.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        brace = lines[1].index(b"{")
+        lines[1] = lines[1][:brace] + bytes([lines[1][brace] ^ 0x01]) \
+            + lines[1][brace + 1:]
+        damaged = b"\n".join(lines)
+        path.write_bytes(damaged)
+
+        reopened = make_store(tmp_path)
+        assert [job.id for job in reopened.jobs()] == [
+            "job-000000", "job-000002", "job-000003", "job-000004"]
+        assert reopened.corrupt_records == 1
+        reopened.close()
+        # Compaction kept the four jobs and preserved the pre-image.
+        assert len(journal_events(tmp_path)) == 4
+        assert (tmp_path / "jobs.jsonl.corrupt-1").read_bytes() == damaged
+
+    def test_edited_payload_is_corrupt_not_applied(self, tmp_path):
+        store = make_store(tmp_path)
+        for n in range(5):
+            store.submit({"n": n})
+        store.close()
+        path = tmp_path / "jobs.jsonl"
+        data = path.read_bytes()
+        assert data.count(b'"n": 2') == 1
+        path.write_bytes(data.replace(b'"n": 2', b'"n": 3'))
+
+        reopened = make_store(tmp_path)
+        assert reopened.corrupt_records == 1
+        assert reopened.get("job-000002") is None
+        assert [job.payload["n"] for job in reopened.jobs()] == [0, 1, 3, 4]
+        reopened.close()
+
+    def test_clean_compaction_keeps_no_pre_image(self, tmp_path):
+        store = make_store(tmp_path)
+        store.submit({"n": 1})
+        store.close()
+        make_store(tmp_path).close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.jsonl"]
 
     def test_compaction_bounds_the_journal(self, tmp_path):
         store = make_store(tmp_path)

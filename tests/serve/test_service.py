@@ -5,12 +5,12 @@ second, so these tests exercise the genuine submit -> worker ->
 journal path rather than mocks.
 """
 
-import json
 import os
 
 import pytest
 
 from repro.errors import ServeError
+from repro.fsio import Journal, encode_record
 from repro.serve.jobstore import (CANCELLED, COMPLETED, FAILED, QUEUED,
                                   RUNNING)
 from repro.serve.service import parse_requirements
@@ -206,8 +206,7 @@ class TestDrainAndRecovery:
         parked = service.get(job.id)
         assert parked.state == QUEUED
         assert counters(service)["serve.requeued"] == 1
-        journal = [json.loads(line) for line in
-                   open(service.config.journal_path, encoding="utf-8")]
+        journal = Journal(service.config.journal_path).replay().records
         assert any(event["event"] == "requeued" for event in journal)
 
         # A fresh boot over the same data dir finishes the job.
@@ -262,15 +261,38 @@ class TestHealth:
         from .conftest import make_config
         config = make_config(tmp_path)
         os.makedirs(config.data_dir, exist_ok=True)
-        with open(config.journal_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"event": "accepted",
-                                 "id": "job-000000",
-                                 "payload": dict(tiny_payload),
-                                 "attempts": 0}) + "\n")
-            fh.write('{"event": "comp')     # the crash tear
+        with open(config.journal_path, "wb") as fh:
+            fh.write(encode_record({"event": "accepted",
+                                    "id": "job-000000",
+                                    "payload": dict(tiny_payload),
+                                    "attempts": 0}))
+            fh.write(b'{"event": "comp')     # the crash tear
         service = DesignService(config)
         try:
             assert counters(service)["serve.journal_torn_lines"] == 1
+            assert "serve.journal_corrupt_records" not in \
+                counters(service)
             assert service.store.get("job-000000").state == QUEUED
+        finally:
+            service.drain(grace=5.0)
+
+    def test_corrupt_journal_record_is_counted(self, tmp_path,
+                                               tiny_payload):
+        from repro.serve.service import DesignService
+        from .conftest import make_config
+        config = make_config(tmp_path)
+        os.makedirs(config.data_dir, exist_ok=True)
+        with open(config.journal_path, "wb") as fh:
+            fh.write(b"not a journal frame\n")
+            fh.write(encode_record({"event": "accepted",
+                                    "id": "job-000000",
+                                    "payload": dict(tiny_payload),
+                                    "attempts": 0}))
+        service = DesignService(config)
+        try:
+            assert counters(service)[
+                "serve.journal_corrupt_records"] == 1
+            assert service.store.get("job-000000").state == QUEUED
+            assert os.path.exists(config.journal_path + ".corrupt-1")
         finally:
             service.drain(grace=5.0)

@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.fsio import Journal
 from repro.serve.loadgen import ClientFaultPlan, LoadPlan, run
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -89,13 +90,8 @@ def get_json(url, path):
 
 
 def journal_events(data_dir):
-    events = []
-    with open(os.path.join(str(data_dir), "jobs.jsonl"),
-              encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                events.append(json.loads(line))
-    return events
+    return Journal(os.path.join(str(data_dir), "jobs.jsonl")) \
+        .replay().records
 
 
 @pytest.fixture

@@ -55,6 +55,23 @@ def test_torn_tail_is_skipped_not_fatal(tmp_path):
     assert state.skipped == 1
 
 
+def test_restart_after_torn_tail_keeps_new_epoch(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    journal = WatchJournal(path)
+    journal.redesign_start(1, SPEC)
+    journal.redesign_done(1, DECISION)
+    with open(path, "a") as handle:
+        handle.write('{"entry": "redesign-start", "epo')   # kill -9 here
+    restarted = WatchJournal(path)
+    assert restarted.redesign_start(2, dict(SPEC, load=1200.0))
+    assert restarted.redesign_done(2, dict(DECISION, epoch=2))
+    state = WatchJournal.replay(path)
+    assert state.last_epoch == 2
+    assert state.last_spec["load"] == 1200.0
+    assert state.pending is None
+    assert state.skipped == 1
+
+
 def test_write_failure_degrades_never_raises(tmp_path):
     log = DegradationLog()
     journal = WatchJournal(str(tmp_path), log)    # a directory: EISDIR

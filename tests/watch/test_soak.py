@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.fsio import Journal
 from repro.watch import WatchJournal
 
 from .conftest import load_events, write_jsonl
@@ -46,15 +47,7 @@ def run_watch(*extra, timeout=120):
 
 
 def journal_entries(path):
-    entries = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    entries.append(json.loads(line)["entry"])
-    except OSError:
-        pass
-    return entries
+    return [record["entry"] for record in Journal(path).replay().records]
 
 
 @pytest.fixture
