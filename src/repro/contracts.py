@@ -356,6 +356,16 @@ SERVE_HEALTH_SCHEMA: Dict[str, Any] = {
         "cache": {"type": ["object", "null"]},
         "watch": {"type": ["object", "null"]},
         "map": {"type": ["object", "null"]},
+        "journal": {
+            "type": "object",
+            "required": ["torn", "corrupt", "preserved"],
+            "properties": {
+                "torn": {"type": "integer", "minimum": 0},
+                "corrupt": {"type": "integer", "minimum": 0},
+                "preserved": {"type": "array",
+                              "items": {"type": "string"}},
+            },
+        },
         "ready": {"type": "boolean"},
     },
 }

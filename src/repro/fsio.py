@@ -13,7 +13,9 @@ durable state all persist the same way:
 * **atomic replace** -- data is written to a temp file in the target's
   directory, fsynced, then ``os.replace``'d over the target, so a
   reader never observes a torn file and a crash at any instant leaves
-  either the old content or the new, never a mix;
+  either the old content or the new, never a mix; the directory is
+  fsynced after the rename, so a power cut cannot revert the name to
+  the old file;
 * **framed journals** -- :class:`Journal` appends one record per line,
   each framed by its length and SHA-256 digest, so replay tells a torn
   tail from mid-file damage and never applies an altered record.
@@ -108,15 +110,25 @@ def release_lock(lock_path: str) -> None:
         pass
 
 
+def _fsync_directory(directory: str) -> None:
+    """Make a create or rename inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def atomic_write_bytes(target: str, data: bytes,
                        durable: bool = True,
                        prefix: str = ".fsio-") -> None:
-    """Write ``data`` to ``target`` via temp file + fsync + rename.
+    """Write ``data`` to ``target`` via temp file + fsync + rename,
+    then fsync the directory so the rename itself survives a power cut.
 
-    ``durable=False`` skips the fsync (faster; a power cut may then
+    ``durable=False`` skips both fsyncs (faster; a power cut may then
     lose the write, but a torn file still cannot appear).  On any
-    failure the temp file is removed and the original ``target`` is
-    left untouched.
+    failure before the rename the temp file is removed and the
+    original ``target`` is left untouched.
     """
     directory = os.path.dirname(os.path.abspath(target))
     handle = tempfile.NamedTemporaryFile(
@@ -134,6 +146,8 @@ def atomic_write_bytes(target: str, data: bytes,
         except OSError:
             pass
         raise
+    if durable:
+        _fsync_directory(directory)
 
 
 #: ``<length> <sha256 hex> `` in front of each journal record's body.
@@ -195,14 +209,20 @@ class Journal:
         self.durable = durable
 
     def append(self, record: Any) -> None:
-        """One ``os.write`` on an ``O_APPEND`` fd, fsync'd if durable.
+        """One ``os.write`` on an ``O_APPEND`` fd, fsync'd if durable
+        (with the directory too when this append created the file).
 
         A file that does not end in a newline (a torn append) is fenced
         off with one first; bytes already there are never rewritten.
         """
         frame = encode_record(record)
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
-                     0o644)
+        try:
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND)
+            created = False
+        except FileNotFoundError:
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT,
+                         0o644)
+            created = True
         try:
             size = os.fstat(fd).st_size
             if size and os.pread(fd, 1, size - 1) != b"\n":
@@ -213,6 +233,8 @@ class Journal:
                 os.fsync(fd)
         finally:
             os.close(fd)
+        if created and self.durable:
+            _fsync_directory(os.path.dirname(os.path.abspath(self.path)))
 
     def replay(self) -> JournalReplay:
         try:
@@ -221,18 +243,26 @@ class Journal:
         except FileNotFoundError:
             return JournalReplay()
 
+    def preserved(self) -> List[str]:
+        """The ``<path>.corrupt-N`` copies kept by :meth:`rewrite`,
+        oldest first."""
+        copies: List[str] = []
+        while True:
+            copy = "%s.corrupt-%d" % (self.path, len(copies) + 1)
+            if not os.path.exists(copy):
+                return copies
+            copies.append(copy)
+
     def rewrite(self, records: Iterable[Any],
                 preserve: bool = False) -> None:
         """Atomically replace the journal with ``records``.  With
         ``preserve``, first copy it to the first free
         ``<path>.corrupt-N`` so compaction never erases evidence."""
         if preserve:
-            number = 1
-            while os.path.exists("%s.corrupt-%d" % (self.path, number)):
-                number += 1
+            copy = "%s.corrupt-%d" % (self.path, len(self.preserved()) + 1)
             with open(self.path, "rb") as handle:
-                atomic_write_bytes("%s.corrupt-%d" % (self.path, number),
-                                   handle.read(), durable=self.durable)
+                atomic_write_bytes(copy, handle.read(),
+                                   durable=self.durable)
         atomic_write_bytes(self.path,
                            b"".join(map(encode_record, records)),
                            durable=self.durable)

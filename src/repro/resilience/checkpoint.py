@@ -11,7 +11,10 @@ design as an uninterrupted run without re-paying for solves.
 
 The file is written atomically (temp file + fsync + ``os.replace``)
 every ``interval`` newly recorded evaluations and at every frontier
-completion, so a crash never leaves a torn checkpoint.  Each save
+completion, so a crash never leaves a torn checkpoint.  Each entry is
+JSON-encoded once, when it is recorded or loaded; a save joins those
+fragments, so its encoding cost grows with the new entries only while
+the file stays exactly ``json.dumps(to_dict())``.  Each save
 holds a sidecar lock file (``<path>.lock``, pid-stamped) so two
 writers can never interleave renames on the same path; a lock left
 behind by a killed writer is detected (dead pid) and broken.  Both
@@ -82,6 +85,10 @@ class SearchCheckpoint:
         self.save_failures = 0
         self._cache: Dict[tuple, float] = {}
         self._frontiers: Dict[str, Dict[str, Any]] = {}
+        #: ``json.dumps`` text of each ``_cache`` entry (insertion
+        #: order) and of each ``_frontiers`` member, made once.
+        self._cache_json: List[str] = []
+        self._frontier_json: Dict[str, str] = {}
         self._pending = 0
         #: After a failed autosave, wait until this many entries are
         #: pending before trying the disk again (backs off linearly).
@@ -94,7 +101,7 @@ class SearchCheckpoint:
         """Record one availability solve; autosaves periodically."""
         if key in self._cache:
             return
-        self._cache[key] = unavailability
+        self._insert(key, unavailability)
         self._pending += 1
         if self.path is not None and self._pending >= self.interval \
                 and self._pending >= self._retry_at:
@@ -113,7 +120,7 @@ class SearchCheckpoint:
         for key, unavailability in pairs:
             if key in self._cache:
                 continue
-            self._cache[key] = unavailability
+            self._insert(key, unavailability)
             recorded += 1
         if recorded:
             self._pending += recorded
@@ -124,14 +131,25 @@ class SearchCheckpoint:
                        frontier: List[Any]) -> None:
         """Record a completed tier frontier (and save immediately)."""
         from ..core.serialize import evaluated_tier_design_to_dict
-        self._frontiers[tier] = {
+        self._set_frontier(tier, {
             "load": load,
             "frontier": [evaluated_tier_design_to_dict(candidate)
                          for candidate in frontier],
-        }
+        })
         self._pending += 1
         if self.path is not None:
             self._autosave()
+
+    def _insert(self, key: tuple, unavailability: float) -> None:
+        self._cache[key] = unavailability
+        self._cache_json.append(
+            json.dumps([_key_to_json(key), unavailability]))
+
+    def _set_frontier(self, tier: str, entry: Dict[str, Any]) -> None:
+        self._frontiers[tier] = entry
+        # ``{tier: entry}`` minus its braces: the member exactly as
+        # ``json.dumps`` writes it inside the enclosing object.
+        self._frontier_json[tier] = json.dumps({tier: entry})[1:-1]
 
     # -- reuse ----------------------------------------------------------
 
@@ -177,6 +195,7 @@ class SearchCheckpoint:
     # -- persistence ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
+        """The file's content; :meth:`encode` writes its exact bytes."""
         return {
             "version": _VERSION,
             "availability_cache": [
@@ -184,6 +203,15 @@ class SearchCheckpoint:
                 for key, value in self._cache.items()],
             "tier_frontiers": self._frontiers,
         }
+
+    def encode(self) -> bytes:
+        """``json.dumps(self.to_dict())`` as UTF-8, built from the
+        per-entry fragments instead of re-encoding every entry."""
+        return ('{"version": %d, "availability_cache": [%s], '
+                '"tier_frontiers": {%s}}'
+                % (_VERSION, ", ".join(self._cache_json),
+                   ", ".join(self._frontier_json.values()))
+                ).encode("utf-8")
 
     def save(self, path: Optional[str] = None) -> str:
         """Atomically write the checkpoint; returns the path used.
@@ -210,8 +238,7 @@ class SearchCheckpoint:
         except LockContention as exc:
             raise CheckpointError("checkpoint %s" % exc) from exc.__cause__
         try:
-            atomic_write_bytes(target,
-                               json.dumps(self.to_dict()).encode("utf-8"),
+            atomic_write_bytes(target, self.encode(),
                                prefix=".checkpoint-")
         except OSError as exc:
             raise CheckpointError("cannot save checkpoint to %r: %s"
@@ -287,16 +314,22 @@ class SearchCheckpoint:
                 % (path, data.get("version")
                    if isinstance(data, dict) else None, _VERSION))
         checkpoint = cls(path=path, interval=interval)
+        cache: Dict[tuple, float] = {}
         try:
             for key, value in data.get("availability_cache", []):
-                checkpoint._cache[_key_from_json(key)] = float(value)
+                cache[_key_from_json(key)] = float(value)
             frontiers = data.get("tier_frontiers", {})
             if not isinstance(frontiers, dict):
                 raise TypeError("tier_frontiers must be an object")
-            checkpoint._frontiers = frontiers
         except (TypeError, ValueError) as exc:
             raise CheckpointError("checkpoint %r is malformed: %s"
                                   % (path, exc)) from exc
+        # Encoded after the loop: a duplicated key keeps its first
+        # position and its last value, as the dict does.
+        for key, value in cache.items():
+            checkpoint._insert(key, value)
+        for tier, entry in frontiers.items():
+            checkpoint._set_frontier(tier, entry)
         checkpoint.resumed = True
         checkpoint.resumed_evaluations = len(checkpoint._cache)
         return checkpoint

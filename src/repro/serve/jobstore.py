@@ -109,6 +109,8 @@ class JobStore:
         for event in replayed.records:
             self._apply(event)
         self._compact()
+        #: Every ``<path>.corrupt-N`` pre-image kept so far, oldest first.
+        self.preserved = self._journal.preserved()
 
     # -- journal mechanics ---------------------------------------------
 

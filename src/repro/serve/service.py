@@ -245,6 +245,9 @@ class DesignService:
                       if self.cache_store is not None else None),
             "watch": self._watch_status,
             "map": self.map_status(),
+            "journal": {"torn": self.store.torn_lines,
+                        "corrupt": self.store.corrupt_records,
+                        "preserved": self.store.preserved},
         }
 
     def map_status(self) -> Optional[Dict[str, Any]]:

@@ -212,3 +212,49 @@ class TestSearchIntegration:
         loaded = SearchCheckpoint.load(path)
         with pytest.raises(CheckpointError, match="does not fit"):
             loaded.frontier_for("application", 1000.0, tiny_infra)
+
+
+class TestServeJobWorkCounts:
+    """One ``repro serve`` design job's checkpoint work, pinned exactly.
+
+    The job the daemon runs for the paper e-commerce request (load
+    1000, 100 min/yr): a fallback engine under a one-worker runtime,
+    autosaving every 10 new evaluations.  A change in how often a job
+    rewrites its checkpoint fails here without any timing noise.
+    """
+
+    def test_saves_per_job(self, tmp_path, monkeypatch, paper_infra,
+                           ecommerce):
+        from repro import Aved, Duration, ServiceRequirements
+        from repro.parallel import make_runtime
+        from repro.resilience import FallbackEngine
+        saves = {"interval": 0, "frontier": 0}
+        in_frontier = []
+        real_save = SearchCheckpoint.save
+        real_store = SearchCheckpoint.store_frontier
+
+        def counting_save(self, path=None):
+            saves["frontier" if in_frontier else "interval"] += 1
+            return real_save(self, path)
+
+        def marking_store(self, *args):
+            in_frontier.append(True)
+            try:
+                return real_store(self, *args)
+            finally:
+                in_frontier.pop()
+
+        monkeypatch.setattr(SearchCheckpoint, "save", counting_save)
+        monkeypatch.setattr(SearchCheckpoint, "store_frontier",
+                            marking_store)
+        checkpoint = SearchCheckpoint(str(tmp_path / "job.json"),
+                                      interval=10)
+        engine = FallbackEngine()
+        outcome = Aved(paper_infra, ecommerce,
+                       availability_engine=engine, checkpoint=checkpoint,
+                       parallel=make_runtime(engine, 1)).design(
+            ServiceRequirements(throughput=1000,
+                                max_annual_downtime=Duration.minutes(100)))
+        assert outcome.annual_cost == 267620.0
+        assert checkpoint.evaluations == 1116
+        assert saves == {"interval": 111, "frontier": 3}

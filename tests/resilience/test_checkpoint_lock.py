@@ -2,7 +2,8 @@
 
 Covers the crash-safety corners of :class:`SearchCheckpoint`:
 
-* ``save()`` fsyncs the temp file before the atomic rename;
+* ``save()`` fsyncs the temp file before the atomic rename, and the
+  directory after it;
 * the pid-stamped ``<path>.lock`` enforces single-writer (a *live*
   foreign holder is an error; a stale one -- writer killed
   mid-rename -- is broken and recovered from);
@@ -15,6 +16,7 @@ import errno
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -40,7 +42,8 @@ class TestSaveDurability:
         real_replace = os.replace
 
         def spy_fsync(fd):
-            calls.append("fsync")
+            directory = stat.S_ISDIR(os.fstat(fd).st_mode)
+            calls.append("fsync(dir)" if directory else "fsync")
             return real_fsync(fd)
 
         def spy_replace(src, dst):
@@ -52,7 +55,7 @@ class TestSaveDurability:
         checkpoint = make_checkpoint(tmp_path)
         checkpoint.record_evaluation(("web", 1, 0), 0.01)
         checkpoint.save()
-        assert calls == ["fsync", "replace"]
+        assert calls == ["fsync", "replace", "fsync(dir)"]
         with open(tmp_path / "cp.json", encoding="utf-8") as handle:
             json.load(handle)    # valid JSON on disk
 

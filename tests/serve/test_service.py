@@ -245,6 +245,8 @@ class TestHealth:
         assert health["accepting"] is True
         assert health["queue_depth"] == 0
         assert health["workers"] == 1
+        assert health["journal"] == {"torn": 0, "corrupt": 0,
+                                     "preserved": []}
         assert service.ready() is True
 
         service.drain(grace=5.0)
@@ -294,5 +296,35 @@ class TestHealth:
                 "serve.journal_corrupt_records"] == 1
             assert service.store.get("job-000000").state == QUEUED
             assert os.path.exists(config.journal_path + ".corrupt-1")
+        finally:
+            service.drain(grace=5.0)
+
+    def test_flipped_journal_byte_is_reported_in_health(self, tmp_path,
+                                                        tiny_payload):
+        from repro.contracts import SERVE_HEALTH_SCHEMA
+        from repro.serve.jobstore import JobStore
+        from repro.serve.service import DesignService
+        from .conftest import make_config
+        from .test_contracts import validate
+        config = make_config(tmp_path)
+        os.makedirs(config.data_dir, exist_ok=True)
+        writer = JobStore(config.journal_path, fsync=False)
+        for _ in range(3):
+            writer.submit(dict(tiny_payload))
+        with open(config.journal_path, "rb") as fh:
+            data = bytearray(fh.read())
+        middle = data.index(b"job-000001")     # inside record 2's body
+        data[middle] ^= 0x01
+        with open(config.journal_path, "wb") as fh:
+            fh.write(bytes(data))
+        service = DesignService(config)
+        try:
+            health = service.health()
+            assert health["journal"] == {
+                "torn": 0, "corrupt": 1,
+                "preserved": [config.journal_path + ".corrupt-1"]}
+            validate(health, SERVE_HEALTH_SCHEMA)
+            assert [job.id for job in service.store.jobs()] == [
+                "job-000000", "job-000002"]
         finally:
             service.drain(grace=5.0)

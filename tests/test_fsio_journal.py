@@ -8,12 +8,14 @@ mutated byte -- and never an altered record.
 """
 
 import os
+import stat
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fsio import Journal, decode_records, encode_record
+from repro.fsio import (Journal, atomic_write_bytes, decode_records,
+                        encode_record)
 from repro.grid import GridJournal, loads_key
 from repro.serve.jobstore import JobStore
 from repro.watch import WatchJournal
@@ -227,3 +229,59 @@ def test_rewrite_preserves_pre_image_only_when_asked(tmp_path):
     assert Journal(path).replay().records == [{"a": 1}]
     assert sorted(os.listdir(str(tmp_path))) == [
         "j.jsonl", "j.jsonl.corrupt-1", "j.jsonl.corrupt-2"]
+    assert journal.preserved() == [path + ".corrupt-1",
+                                   path + ".corrupt-2"]
+
+
+# -- durability: a rename or a create is fsynced in its directory -------
+
+@pytest.fixture
+def sync_calls(monkeypatch):
+    """``os.fsync``/``os.replace`` in call order; a directory's fsync
+    reads ``fsync(dir)``."""
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        directory = stat.S_ISDIR(os.fstat(fd).st_mode)
+        calls.append("fsync(dir)" if directory else "fsync")
+        return real_fsync(fd)
+
+    def spy_replace(src, dst):
+        calls.append("replace")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    return calls
+
+
+def test_durable_write_fsyncs_directory_after_rename(tmp_path,
+                                                     sync_calls):
+    atomic_write_bytes(str(tmp_path / "f"), b"data")
+    assert sync_calls == ["fsync", "replace", "fsync(dir)"]
+    del sync_calls[:]
+    atomic_write_bytes(str(tmp_path / "f"), b"data", durable=False)
+    assert sync_calls == ["replace"]
+
+
+def test_append_fsyncs_directory_only_when_it_creates(tmp_path,
+                                                      sync_calls):
+    journal = Journal(str(tmp_path / "j.jsonl"))
+    journal.append({"a": 1})
+    assert sync_calls == ["fsync", "fsync(dir)"]
+    journal.append({"a": 2})
+    assert sync_calls == ["fsync", "fsync(dir)", "fsync"]
+
+
+def test_jobstore_compaction_rename_is_durable(tmp_path, sync_calls):
+    """Regression: the boot-time compaction renamed a new ``jobs.jsonl``
+    into place without fsyncing the directory, so a power cut could
+    revert the name to the old inode and drop jobs accepted since."""
+    path = str(tmp_path / "jobs.jsonl")
+    JobStore(path, fsync=False).submit({"n": 1})
+    del sync_calls[:]
+    store = JobStore(path)
+    assert sync_calls == ["fsync", "replace", "fsync(dir)"]
+    store.submit({"n": 2})
+    assert sync_calls[3:] == ["fsync"]
